@@ -29,10 +29,29 @@ echo "== lint-suppression trend record =="
 printf '%s' "$json" | cargo run -q --offline -p sysunc-bench --bin tidy_trend -- \
   --out BENCH_tidy_trend.json --fail-on-regression
 
+echo "== toolchain lint gate (clippy, workspace lint table) =="
+# Generic lint duty belongs to rustc and clippy: every member inherits
+# the root [workspace.lints] table (panic family, float_cmp,
+# missing_docs, unreachable_pub, per-site #[expect] discipline), and
+# serve/fleet deny clippy::indexing_slicing crate-wide. A check build
+# fails in well under the release build's time.
+cargo clippy --quiet --offline --workspace --lib
+
+echo "== toolchain lint gate (clippy, perfbench) =="
+# perfbench/ is its own workspace and does not inherit the table, so
+# the panic-family and float lints are passed on the command line (the
+# same list tests/tidy_gate.rs uses).
+cargo clippy --quiet --offline --manifest-path perfbench/Cargo.toml \
+  --target-dir target/tmp/perfbench-clippy -- \
+  -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic \
+  -D clippy::todo -D clippy::unimplemented -D clippy::float_cmp
+
 echo "== build (release) =="
 cargo build --release --offline
 
 echo "== tests =="
+# `default-members` covers every crate, so this runs the whole
+# workspace's unit and integration tests.
 cargo test -q --offline
 
 echo "== verify tier (bounded-exhaustive, release) =="

@@ -93,7 +93,7 @@ pub fn tridiagonal_eigen(diag: &[f64], offdiag: &[f64]) -> Result<TridiagonalEig
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
-                if r == 0.0 { // tidy: allow(float-eq)
+                if r == 0.0 {
                     d[i + 1] -= p;
                     e[m] = 0.0;
                     break;
@@ -110,7 +110,7 @@ pub fn tridiagonal_eigen(diag: &[f64], offdiag: &[f64]) -> Result<TridiagonalEig
                 z[i + 1] = s * z[i] + c * f;
                 z[i] = c * z[i] - s * f;
             }
-            if r == 0.0 && m > l + 1 { // tidy: allow(float-eq)
+            if r == 0.0 && m > l + 1 {
                 continue;
             }
             d[l] -= p;
@@ -121,7 +121,11 @@ pub fn tridiagonal_eigen(diag: &[f64], offdiag: &[f64]) -> Result<TridiagonalEig
 
     // Sort ascending, carrying the first components along.
     let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite")); // tidy: allow(panic)
+    #[expect(
+        clippy::expect_used,
+        reason = "the implicit QL sweep only produces finite eigenvalues, so partial_cmp is total"
+    )]
+    idx.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite"));
     Ok(TridiagonalEigen {
         values: idx.iter().map(|&i| d[i]).collect(),
         first_components: idx.iter().map(|&i| z[i]).collect(),

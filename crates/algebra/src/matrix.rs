@@ -279,7 +279,7 @@ impl Mul for &Matrix {
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let aik = self[(i, k)];
-                if aik == 0.0 { // tidy: allow(float-eq)
+                if aik == 0.0 {
                     continue;
                 }
                 for j in 0..rhs.cols {

@@ -39,7 +39,7 @@ impl PolyFamily {
             PolyFamily::Jacobi { alpha, beta } => {
                 let k = k as f64;
                 let s = 2.0 * k + alpha + beta;
-                if k == 0.0 { // tidy: allow(float-eq)
+                if k == 0.0 {
                     (beta - alpha) / (alpha + beta + 2.0)
                 } else {
                     (beta * beta - alpha * alpha) / (s * (s + 2.0))
@@ -109,7 +109,11 @@ impl PolyFamily {
 
     /// Evaluates the single orthonormal polynomial of the given degree.
     pub fn eval_one(&self, degree: usize, x: f64) -> f64 {
-        *self.eval_orthonormal(degree, x).last().expect("non-empty by construction") // tidy: allow(panic)
+        #[expect(
+            clippy::expect_used,
+            reason = "eval_orthonormal returns degree + 1 values, never an empty vector"
+        )]
+        *self.eval_orthonormal(degree, x).last().expect("non-empty by construction")
     }
 
     /// `n`-point Gauss quadrature rule for the family's probability measure

@@ -116,12 +116,20 @@ impl Factor {
         let size: usize = card.iter().product();
         let mut values = vec![0.0; size];
         // Positions of self/other vars in the union scope.
+        #[expect(
+            clippy::expect_used,
+            reason = "the union scope is built from both factors, so every variable is in it"
+        )]
         let self_pos: Vec<usize> =
-            self.vars.iter().map(|v| vars.iter().position(|u| u == v).expect("in union")).collect(); // tidy: allow(panic)
+            self.vars.iter().map(|v| vars.iter().position(|u| u == v).expect("in union")).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "the union scope is built from both factors, so every variable is in it"
+        )]
         let other_pos: Vec<usize> = other
             .vars
             .iter()
-            .map(|v| vars.iter().position(|u| u == v).expect("in union")) // tidy: allow(panic)
+            .map(|v| vars.iter().position(|u| u == v).expect("in union"))
             .collect();
         let mut asg = vec![0usize; vars.len()];
         for (flat, value) in values.iter_mut().enumerate() {

@@ -77,6 +77,10 @@ impl<'a> VariableElimination<'a> {
         // Greedy: repeatedly eliminate the variable whose product factor
         // has the smallest resulting scope.
         while !hidden.is_empty() {
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop runs only while `hidden` is non-empty"
+            )]
             let (pick_idx, _) = hidden
                 .iter()
                 .enumerate()
@@ -89,7 +93,7 @@ impl<'a> VariableElimination<'a> {
                     (i, scope.len())
                 })
                 .min_by_key(|&(_, size)| size)
-                .expect("hidden not empty"); // tidy: allow(panic)
+                .expect("hidden not empty");
             let var = hidden.swap_remove(pick_idx);
             let (with_var, without_var): (Vec<Factor>, Vec<Factor>) =
                 factors.into_iter().partition(|f| f.vars().contains(&var));

@@ -74,7 +74,7 @@ pub fn most_probable_explanation(
                 row = row * bn.nodes()[parent].states.len() + assignment[parent];
             }
             p *= node.cpt[row][assignment[id]];
-            if p == 0.0 { // tidy: allow(float-eq)
+            if p == 0.0 {
                 break;
             }
         }
@@ -85,7 +85,11 @@ pub fn most_probable_explanation(
         let mut h = 0;
         loop {
             if h == hidden.len() {
-                let (a, p) = best.expect("at least one configuration visited"); // tidy: allow(panic)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the odometer visits at least one configuration before it completes"
+                )]
+                let (a, p) = best.expect("at least one configuration visited");
                 if p <= 0.0 {
                     return Err(BnError::InconsistentEvidence);
                 }

@@ -170,7 +170,8 @@ impl BayesNet {
         // CPT rows iterate last parent fastest — matching row-major order
         // with the node's own states innermost.
         let values: Vec<f64> = node.cpt.iter().flatten().copied().collect();
-        Factor::new(vars, card, values).expect("validated at construction") // tidy: allow(panic)
+        #[expect(clippy::expect_used, reason = "CPT shapes are validated when the node is added")]
+        Factor::new(vars, card, values).expect("validated at construction")
     }
 
     /// Resolves `(node name, state name)` pairs to ids.

@@ -67,7 +67,7 @@ impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
         println!("\n== {name} ==");
-        BenchmarkGroup { criterion: self, name }
+        BenchmarkGroup { criterion: self }
     }
 
     /// Runs a single unparameterized benchmark outside any group.
@@ -90,8 +90,6 @@ impl Criterion {
 /// A named set of benchmark cases sharing the parent's configuration.
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
-    #[allow(dead_code)]
-    name: String,
 }
 
 impl BenchmarkGroup<'_> {

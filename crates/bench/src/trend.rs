@@ -2,8 +2,10 @@
 //!
 //! Two trajectories live here:
 //!
-//! - **Lint suppressions** — every `// tidy: allow(rule)` comment and
-//!   every baseline budget is acknowledged epistemic debt. A
+//! - **Lint suppressions** — every `// tidy: allow(rule)` comment,
+//!   every `#[expect]` of a workspace-table lint (listed by tidy under
+//!   the name of the rule the lint replaced) and every baseline budget
+//!   is acknowledged epistemic debt. A
 //!   `sysunc-tidy/3` findings document (the older `/1` and `/2` are
 //!   still accepted — `/1` merely lacks the per-finding `resolution`
 //!   field, `/2` the `cfg` resolution and the CFG-backed rules) folds

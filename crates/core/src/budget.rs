@@ -65,14 +65,15 @@ impl UncertaintyBudget {
 
     /// The kind with the largest level (ties broken in taxonomy order).
     pub fn dominant(&self) -> UncertaintyKind {
+        #[expect(clippy::expect_used, reason = "levels are finite and ALL has three kinds")]
         UncertaintyKind::ALL
             .into_iter()
             .max_by(|a, b| {
                 self.level(*a)
                     .partial_cmp(&self.level(*b))
-                    .expect("levels are finite") // tidy: allow(panic)
+                    .expect("levels are finite")
             })
-            .expect("three kinds") // tidy: allow(panic)
+            .expect("three kinds")
     }
 
     /// Checks the budget against per-kind acceptance thresholds; returns

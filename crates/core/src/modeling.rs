@@ -93,7 +93,7 @@ pub fn assess_adequacy(
         .marginal_x()
         .iter()
         .enumerate()
-        .filter(|&(i, _)| model_marginal[i] == 0.0) // tidy: allow(float-eq)
+        .filter(|&(i, _)| model_marginal[i] == 0.0)
         .map(|(_, &p)| p)
         .sum();
     Ok(AdequacyReport {

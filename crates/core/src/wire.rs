@@ -52,10 +52,20 @@ fn intern_engine_name(name: &str) -> Option<&'static str> {
 ///
 /// Models are registered once at startup and looked up by name per
 /// request; the registry is immutable while shared, so it can sit
-/// behind an `Arc` across worker threads without locking.
+/// behind an `Arc` across worker threads without locking. Each entry
+/// also records how many inputs the model reads, so a request with the
+/// wrong count is refused before it reaches the model.
 #[derive(Default)]
 pub struct ModelRegistry {
-    entries: Vec<(String, Box<dyn Model + Send + Sync>)>,
+    entries: Vec<RegisteredModel>,
+}
+
+/// One registry entry: the model, its name, and its fixed input count
+/// (`None` when the model folds any non-empty input vector).
+struct RegisteredModel {
+    name: String,
+    inputs: Option<usize>,
+    model: Box<dyn Model + Send + Sync>,
 }
 
 impl ModelRegistry {
@@ -64,7 +74,8 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// Registers a model under a unique non-empty name.
+    /// Registers a model that accepts any non-empty input vector (a fold
+    /// such as `sum`) under a unique non-empty name.
     ///
     /// # Errors
     ///
@@ -74,25 +85,80 @@ impl ModelRegistry {
         name: impl Into<String>,
         model: Box<dyn Model + Send + Sync>,
     ) -> Result<()> {
-        let name = name.into();
+        self.insert(name.into(), None, model)
+    }
+
+    /// Registers a model that reads exactly `inputs` inputs under a
+    /// unique non-empty name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidInput`] for empty or duplicate names and
+    /// for `inputs == 0`.
+    pub fn register_with_inputs(
+        &mut self,
+        name: impl Into<String>,
+        inputs: usize,
+        model: Box<dyn Model + Send + Sync>,
+    ) -> Result<()> {
+        if inputs == 0 {
+            return Err(Error::InvalidInput("a model reads at least one input".into()));
+        }
+        self.insert(name.into(), Some(inputs), model)
+    }
+
+    fn insert(
+        &mut self,
+        name: String,
+        inputs: Option<usize>,
+        model: Box<dyn Model + Send + Sync>,
+    ) -> Result<()> {
         if name.is_empty() {
             return Err(Error::InvalidInput("model name must be non-empty".into()));
         }
         if self.get(&name).is_some() {
             return Err(Error::InvalidInput(format!("duplicate model name '{name}'")));
         }
-        self.entries.push((name, model));
+        self.entries.push(RegisteredModel { name, inputs, model });
         Ok(())
     }
 
     /// The model registered under `name`.
     pub fn get(&self, name: &str) -> Option<&(dyn Model + Send + Sync)> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, m)| m.as_ref())
+        self.entry(name).map(|e| e.model.as_ref())
+    }
+
+    fn entry(&self, name: &str) -> Option<&RegisteredModel> {
+        self.entries.iter().find(|e| e.name == name)
+    }
+
+    /// Checks that the model registered under `name` reads `inputs`
+    /// inputs: exactly its registered count, or any count >= 1 for a
+    /// model registered without one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidInput`] for unknown names and for input
+    /// counts the model does not read.
+    pub fn check_inputs(&self, name: &str, inputs: usize) -> Result<()> {
+        let entry = self
+            .entry(name)
+            .ok_or_else(|| Error::InvalidInput(format!("unknown model '{name}'")))?;
+        match entry.inputs {
+            Some(n) if n != inputs => Err(Error::InvalidInput(format!(
+                "model '{name}' takes {n} input{}, got {inputs}",
+                if n == 1 { "" } else { "s" }
+            ))),
+            None if inputs == 0 => Err(Error::InvalidInput(format!(
+                "model '{name}' takes at least 1 input, got 0"
+            ))),
+            _ => Ok(()),
+        }
     }
 
     /// All registered names, in registration order.
     pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|(n, _)| n.as_str()).collect()
+        self.entries.iter().map(|e| e.name.as_str()).collect()
     }
 
     /// Number of registered models.
@@ -111,9 +177,9 @@ impl ModelRegistry {
     ///
     /// | name | inputs | output |
     /// |---|---|---|
-    /// | `sum` | any | `Σ xᵢ` |
+    /// | `sum` | any count ≥ 1 | `Σ xᵢ` |
     /// | `linear-2x3y` | 2 | `2 x₀ + 3 x₁` |
-    /// | `product` | any | `Π xᵢ` |
+    /// | `product` | any count ≥ 1 | `Π xᵢ` |
     /// | `orbital-period` | `[m1, m2, d]` | circular two-body period |
     /// | `orbital-energy` | `[m1, m2, d]` | total mechanical energy |
     /// | `missed-hazard` | `[p_ped, p_novel]` | missed-hazard rate of the Table I camera |
@@ -125,14 +191,23 @@ impl ModelRegistry {
     pub fn standard() -> Result<Self> {
         let mut reg = Self::new();
         reg.register("sum", Box::new(|x: &[f64]| x.iter().sum::<f64>()))?;
-        reg.register("linear-2x3y", Box::new(|x: &[f64]| {
+        reg.register_with_inputs("linear-2x3y", 2, Box::new(|x: &[f64]| {
             2.0 * x.first().copied().unwrap_or(0.0) + 3.0 * x.get(1).copied().unwrap_or(0.0)
         }))?;
         reg.register("product", Box::new(|x: &[f64]| x.iter().product::<f64>()))?;
-        reg.register("orbital-period", Box::new(sysunc_orbital::TwoBodyPeriodModel))?;
-        reg.register("orbital-energy", Box::new(sysunc_orbital::TwoBodyEnergyModel))?;
-        reg.register(
+        reg.register_with_inputs(
+            "orbital-period",
+            3,
+            Box::new(sysunc_orbital::TwoBodyPeriodModel),
+        )?;
+        reg.register_with_inputs(
+            "orbital-energy",
+            3,
+            Box::new(sysunc_orbital::TwoBodyEnergyModel),
+        )?;
+        reg.register_with_inputs(
             "missed-hazard",
+            2,
             Box::new(sysunc_perception::MissedHazardModel::paper_camera()?),
         )?;
         Ok(reg)

@@ -49,7 +49,8 @@ impl FuzzyNumber {
             let lo = a + alpha * (m - a);
             let hi = b - alpha * (b - m);
             // Guard against last-ulp inversion at alpha = 1.
-            Interval::new(lo.min(hi), hi.max(lo)).expect("ordered endpoints") // tidy: allow(panic)
+            #[expect(clippy::expect_used, reason = "min/max ordering makes the endpoints ordered")]
+            Interval::new(lo.min(hi), hi.max(lo)).expect("ordered endpoints")
         })
     }
 
@@ -69,13 +70,15 @@ impl FuzzyNumber {
         Self::from_cut_fn(|alpha| {
             let lo = a + alpha * (m1 - a);
             let hi = b - alpha * (b - m2);
-            Interval::new(lo.min(hi), hi.max(lo)).expect("ordered endpoints") // tidy: allow(panic)
+            #[expect(clippy::expect_used, reason = "min/max ordering makes the endpoints ordered")]
+            Interval::new(lo.min(hi), hi.max(lo)).expect("ordered endpoints")
         })
     }
 
     /// A crisp number as a degenerate fuzzy number.
     pub fn crisp(x: f64) -> Self {
-        Self::from_cut_fn(|_| Interval::degenerate(x)).expect("degenerate cuts are valid") // tidy: allow(panic)
+        #[expect(clippy::expect_used, reason = "degenerate cuts are nested and valid")]
+        Self::from_cut_fn(|_| Interval::degenerate(x)).expect("degenerate cuts are valid")
     }
 
     /// Builds from an α-cut function evaluated on the default level ladder.
@@ -99,9 +102,13 @@ impl FuzzyNumber {
                         "alpha cuts are not nested".into(),
                     ));
                 }
-                cuts[i] = cuts[i]
-                    .intersect(&cuts[i - 1])
-                    .expect("cuts overlap within tolerance"); // tidy: allow(panic)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the nesting check above bounds the gap, so the cuts overlap"
+                )]
+                let nested =
+                    cuts[i].intersect(&cuts[i - 1]).expect("cuts overlap within tolerance");
+                cuts[i] = nested;
             }
         }
         Ok(Self { levels, cuts })
@@ -128,7 +135,8 @@ impl FuzzyNumber {
 
     /// The core (α-cut at 1).
     pub fn core(&self) -> Interval {
-        *self.cuts.last().expect("non-empty ladder") // tidy: allow(panic)
+        #[expect(clippy::expect_used, reason = "construction rejects an empty alpha-cut ladder")]
+        *self.cuts.last().expect("non-empty ladder")
     }
 
     /// Membership degree of `x` (piecewise from the cut ladder).

@@ -185,7 +185,7 @@ impl MassFunction {
             if mass < 0.0 || !mass.is_finite() {
                 return Err(EvidenceError::InvalidMass(format!("negative mass {mass}")));
             }
-            if mass == 0.0 { // tidy: allow(float-eq)
+            if mass == 0.0 {
                 continue;
             }
             if set == 0 {
@@ -251,8 +251,12 @@ impl MassFunction {
     /// The `[Bel, Pl]` interval of a subset — an epistemic probability
     /// bound.
     pub fn interval(&self, set: u64) -> Interval {
+        #[expect(
+            clippy::expect_used,
+            reason = "Bel <= Pl holds for every normalized mass function"
+        )]
         Interval::new(self.belief(set), self.plausibility(set))
-            .expect("Bel <= Pl by construction") // tidy: allow(panic)
+            .expect("Bel <= Pl by construction")
             .clamp_unit()
     }
 

@@ -83,7 +83,11 @@ impl DsStructure {
             .map(|i| {
                 let lo = dist.quantile(((i as f64) / n as f64).max(eps));
                 let hi = dist.quantile((((i + 1) as f64) / n as f64).min(1.0 - eps));
-                (Interval::new(lo, hi).expect("quantile is monotone"), mass) // tidy: allow(panic)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "quantiles are monotone in the level, so lo <= hi"
+                )]
+                (Interval::new(lo, hi).expect("quantile is monotone"), mass)
             })
             .collect();
         Ok(Self { focal })
@@ -121,15 +125,20 @@ impl DsStructure {
     /// The `[lower, upper]` CDF bounds at `x` — the p-box envelope.
     /// Range: both bounds lie in `[0, 1]` with lower <= upper.
     pub fn cdf_bounds(&self, x: f64) -> Interval {
+        #[expect(clippy::expect_used, reason = "the lower CDF never exceeds the upper CDF")]
         Interval::new(self.cdf_lower(x), self.cdf_upper(x))
-            .expect("lower CDF <= upper CDF") // tidy: allow(panic)
+            .expect("lower CDF <= upper CDF")
     }
 
     /// Bounds on the mean.
     pub fn mean_bounds(&self) -> Interval {
         let lo: f64 = self.focal.iter().map(|(i, m)| i.lo() * m).sum();
         let hi: f64 = self.focal.iter().map(|(i, m)| i.hi() * m).sum();
-        Interval::new(lo, hi).expect("lo <= hi by construction") // tidy: allow(panic)
+        #[expect(
+            clippy::expect_used,
+            reason = "each focal lo <= hi, so the mass-weighted sums stay ordered"
+        )]
+        Interval::new(lo, hi).expect("lo <= hi by construction")
     }
 
     /// Bounds on `P(X > threshold)` — the exceedance (failure) probability
@@ -242,7 +251,11 @@ impl DsStructure {
         }
         let mut sorted = self.focal.clone();
         sorted.sort_by(|a, b| {
-            a.0.midpoint().partial_cmp(&b.0.midpoint()).expect("finite midpoints") // tidy: allow(panic)
+            #[expect(
+                clippy::expect_used,
+                reason = "focal intervals are finite, so their midpoints compare"
+            )]
+            a.0.midpoint().partial_cmp(&b.0.midpoint()).expect("finite midpoints")
         });
         let per_group = sorted.len().div_ceil(max_focal.max(1));
         let mut focal = Vec::new();

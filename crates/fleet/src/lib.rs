@@ -27,6 +27,11 @@
 //!
 //! See `DESIGN.md` §9 for the sharding and restart/backoff contract.
 
+// Every index and slice in this crate is checked: the HTTP parser and
+// the request path face untrusted bytes, so an out-of-range access must
+// become an error response, never a worker panic.
+#![deny(clippy::indexing_slicing)]
+
 pub mod child;
 pub mod error;
 pub mod metrics;

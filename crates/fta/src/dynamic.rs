@@ -187,7 +187,11 @@ impl DynamicFaultTree {
                     DynGateKind::PriorityAnd => {
                         let ordered = input_times.windows(2).all(|w| w[0] <= w[1]);
                         if ordered {
-                            *input_times.last().expect("non-empty inputs") // tidy: allow(panic)
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "a dynamic gate has at least one input"
+                            )]
+                            *input_times.last().expect("non-empty inputs")
                         } else {
                             f64::INFINITY
                         }

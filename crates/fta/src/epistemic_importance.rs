@@ -72,9 +72,10 @@ pub fn epistemic_importance(
         });
     }
     out.sort_by(|a, b| {
+        #[expect(clippy::expect_used, reason = "widths of finite probability intervals are finite")]
         b.width_reduction
             .partial_cmp(&a.width_reduction)
-            .expect("finite widths") // tidy: allow(panic)
+            .expect("finite widths")
     });
     Ok(out)
 }

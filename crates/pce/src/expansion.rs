@@ -249,7 +249,7 @@ impl ChaosExpansion {
     pub fn sobol_first(&self, i: usize) -> f64 {
         assert!(i < self.inputs.len(), "sobol_first: input index out of range");
         let var = self.variance();
-        if var == 0.0 { // tidy: allow(float-eq)
+        if var == 0.0 {
             return 0.0;
         }
         self.indices
@@ -272,7 +272,7 @@ impl ChaosExpansion {
     pub fn sobol_total(&self, i: usize) -> f64 {
         assert!(i < self.inputs.len(), "sobol_total: input index out of range");
         let var = self.variance();
-        if var == 0.0 { // tidy: allow(float-eq)
+        if var == 0.0 {
             return 0.0;
         }
         self.indices

@@ -108,10 +108,14 @@ pub fn sparse_grid(families: &[PolyFamily], level: usize) -> Result<Grid> {
         // Enumerate k with k_i >= 1 and |k| = total.
         let mut k = vec![1usize; d];
         enumerate_compositions(total, d, &mut k, 0, &mut |k| {
+            #[expect(
+                clippy::expect_used,
+                reason = "compositions keep every k_i >= 1, a valid Gauss rule size"
+            )]
             let rules: Vec<_> = families
                 .iter()
                 .zip(k)
-                .map(|(f, &ki)| f.gauss_rule(ki).expect("ki >= 1")) // tidy: allow(panic)
+                .map(|(f, &ki)| f.gauss_rule(ki).expect("ki >= 1"))
                 .collect();
             // Tensor over this component grid.
             let mut idx = vec![0usize; d];

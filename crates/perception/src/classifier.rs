@@ -85,8 +85,10 @@ impl ClassifierModel {
             labels,
             rows,
             novel_row,
-            correct_score: Beta::new(8.0, 2.0).expect("fixed valid parameters"), // tidy: allow(panic)
-            wrong_score: Beta::new(2.0, 4.0).expect("fixed valid parameters"), // tidy: allow(panic)
+            correct_score: Beta::new(8.0, 2.0)
+                .map_err(|e| PerceptionError::InvalidClassifier(e.to_string()))?,
+            wrong_score: Beta::new(2.0, 4.0)
+                .map_err(|e| PerceptionError::InvalidClassifier(e.to_string()))?,
         })
     }
 

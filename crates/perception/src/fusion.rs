@@ -119,11 +119,15 @@ impl FusionSystem {
         for p in &mut post {
             *p /= total;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "posteriors are normalized finite values over a non-empty frame"
+        )]
         let (best, _) = post
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite posteriors")) // tidy: allow(panic)
-            .expect("non-empty"); // tidy: allow(panic)
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite posteriors"))
+            .expect("non-empty");
         let verdict = if best < k { FusedVerdict::Known(best) } else { FusedVerdict::Unknown };
         Ok((verdict, post))
     }
@@ -165,11 +169,15 @@ impl FusionSystem {
                 .map_err(|e| PerceptionError::InvalidFusion(e.to_string()))?;
         }
         let bet = combined.pignistic();
+        #[expect(
+            clippy::expect_used,
+            reason = "pignistic probabilities are finite over a non-empty frame"
+        )]
         let (best, _) = bet
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite pignistic")) // tidy: allow(panic)
-            .expect("non-empty frame"); // tidy: allow(panic)
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite pignistic"))
+            .expect("non-empty frame");
         let verdict = if best < k { FusedVerdict::Known(best) } else { FusedVerdict::Unknown };
         Ok((verdict, combined))
     }
@@ -192,7 +200,8 @@ impl FusionSystem {
         for &l in labels {
             counts[l.min(k)] += 1;
         }
-        let max = *counts.iter().max().expect("non-empty"); // tidy: allow(panic)
+        // `counts` holds k + 1 >= 1 entries, so the fallback never applies.
+        let max = counts.iter().max().copied().unwrap_or(0);
         let winners: Vec<usize> =
             counts.iter().enumerate().filter(|(_, &c)| c == max).map(|(i, _)| i).collect();
         if winners.len() != 1 || winners[0] == k {

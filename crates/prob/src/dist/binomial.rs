@@ -58,21 +58,29 @@ impl Discrete for Binomial {
         if k > self.n {
             return f64::NEG_INFINITY;
         }
-        if self.p == 0.0 { // tidy: allow(float-eq)
+        if self.p == 0.0 {
             return if k == 0 { 0.0 } else { f64::NEG_INFINITY };
         }
-        if self.p == 1.0 { // tidy: allow(float-eq)
+        #[expect(
+            clippy::float_cmp,
+            reason = "p = 1 is the exact degenerate parameter; every other p takes the general formula"
+        )]
+        if self.p == 1.0 {
             return if k == self.n { 0.0 } else { f64::NEG_INFINITY };
         }
         ln_choose(self.n, k) + k as f64 * self.p.ln() + (self.n - k) as f64 * (1.0 - self.p).ln()
     }
 
     fn cdf(&self, k: u64) -> f64 {
+        #[expect(
+            clippy::float_cmp,
+            reason = "p = 1 is the exact degenerate parameter; every other p takes the general formula"
+        )]
         if k >= self.n {
             1.0
-        } else if self.p == 0.0 { // tidy: allow(float-eq)
+        } else if self.p == 0.0 {
             1.0
-        } else if self.p == 1.0 { // tidy: allow(float-eq)
+        } else if self.p == 1.0 {
             0.0
         } else {
             // P(X <= k) = I_{1-p}(n - k, k + 1)

@@ -105,8 +105,12 @@ impl Dirichlet {
         let mut acc = ln_gamma(a0);
         for (&a, &xi) in self.alpha.iter().zip(x) {
             acc -= ln_gamma(a);
-            if a != 1.0 { // tidy: allow(float-eq)
-                if xi == 0.0 { // tidy: allow(float-eq)
+            #[expect(
+                clippy::float_cmp,
+                reason = "a = 1 exactly zeroes the (a - 1) ln x term, so it is skipped instead of evaluating 0 * ln 0"
+            )]
+            if a != 1.0 {
+                if xi == 0.0 {
                     return if a > 1.0 { f64::NEG_INFINITY } else { f64::INFINITY };
                 }
                 acc += (a - 1.0) * xi.ln();
@@ -117,10 +121,14 @@ impl Dirichlet {
 
     /// Draws a probability vector by normalizing independent gammas.
     pub fn sample(&self, rng: &mut dyn RngCore) -> Vec<f64> {
+        #[expect(
+            clippy::expect_used,
+            reason = "concentrations were validated positive at construction"
+        )]
         let gs: Vec<f64> = self
             .alpha
             .iter()
-            .map(|&a| Gamma::new(a, 1.0).expect("validated").sample(rng)) // tidy: allow(panic)
+            .map(|&a| Gamma::new(a, 1.0).expect("validated").sample(rng))
             .collect();
         let total: f64 = gs.iter().sum();
         gs.iter().map(|g| g / total).collect()
@@ -133,7 +141,8 @@ impl Dirichlet {
     /// Never panics for constructed values; the sampled vector always
     /// normalizes.
     pub fn sample_categorical(&self, rng: &mut dyn RngCore) -> Categorical {
-        Categorical::new(self.sample(rng)).expect("sampled simplex point is valid") // tidy: allow(panic)
+        #[expect(clippy::expect_used, reason = "a normalized gamma draw is a valid simplex point")]
+        Categorical::new(self.sample(rng)).expect("sampled simplex point is valid")
     }
 
     /// Bayesian update with observed category counts (conjugacy).

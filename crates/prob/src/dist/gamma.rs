@@ -96,10 +96,14 @@ impl Continuous for Gamma {
     }
 
     fn ln_pdf(&self, x: f64) -> f64 {
-        if x < 0.0 || (x == 0.0 && self.shape < 1.0) { // tidy: allow(float-eq)
+        if x < 0.0 || (x == 0.0 && self.shape < 1.0) {
             f64::NEG_INFINITY
-        } else if x == 0.0 { // tidy: allow(float-eq)
-            if self.shape == 1.0 { // tidy: allow(float-eq)
+        } else if x == 0.0 {
+            #[expect(
+                clippy::float_cmp,
+                reason = "shape = 1 exactly is the exponential case, whose density at 0 is finite"
+            )]
+            if self.shape == 1.0 {
                 self.rate.ln()
             } else {
                 f64::NEG_INFINITY

@@ -228,12 +228,12 @@ pub(crate) mod testutil {
     use crate::rng::SeedableRng;
 
     /// Deterministic RNG for reproducible tests.
-    pub fn rng(seed: u64) -> StdRng {
+    pub(crate) fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
     }
 
     /// Checks `quantile(cdf(x)) == x` on a grid inside the support.
-    pub fn check_quantile_cdf_round_trip<D: Continuous>(d: &D, xs: &[f64], tol: f64) {
+    pub(crate) fn check_quantile_cdf_round_trip<D: Continuous>(d: &D, xs: &[f64], tol: f64) {
         for &x in xs {
             let p = d.cdf(x);
             if p > 1e-12 && p < 1.0 - 1e-12 {
@@ -248,7 +248,7 @@ pub(crate) mod testutil {
 
     /// Checks that the CDF is the integral of the PDF by a crude Simpson rule
     /// between two points.
-    pub fn check_pdf_integrates_to_cdf<D: Continuous>(d: &D, a: f64, b: f64, tol: f64) {
+    pub(crate) fn check_pdf_integrates_to_cdf<D: Continuous>(d: &D, a: f64, b: f64, tol: f64) {
         let n = 20_001;
         let h = (b - a) / (n - 1) as f64;
         let mut acc = 0.0;
@@ -274,7 +274,7 @@ pub(crate) mod testutil {
     /// Checks that `quantile_fill` is bit-identical to elementwise
     /// `quantile` calls (the chunked-kernel determinism contract) and
     /// that `sample_fill` matches `sample_n` under the same seed.
-    pub fn check_fills_match_scalar<D: Continuous>(d: &D, seed: u64) {
+    pub(crate) fn check_fills_match_scalar<D: Continuous>(d: &D, seed: u64) {
         let ps: Vec<f64> = (0..257).map(|i| (i as f64 + 0.5) / 257.0).collect();
         let mut out = vec![0.0; ps.len()];
         d.quantile_fill(&ps, &mut out);
@@ -288,7 +288,7 @@ pub(crate) mod testutil {
     }
 
     /// Checks sample mean/variance against the analytic values.
-    pub fn check_sample_moments<D: Continuous>(d: &D, seed: u64, n: usize, tol_sigmas: f64) {
+    pub(crate) fn check_sample_moments<D: Continuous>(d: &D, seed: u64, n: usize, tol_sigmas: f64) {
         let mut r = rng(seed);
         let xs = d.sample_n(&mut r, n);
         let mean: f64 = xs.iter().sum::<f64>() / n as f64;

@@ -76,7 +76,11 @@ impl Discrete for Poisson {
 
     fn quantile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "Poisson::quantile: p in [0,1], got {q}");
-        if q == 1.0 { // tidy: allow(float-eq)
+        #[expect(
+            clippy::float_cmp,
+            reason = "q = 1 is the exact closed end of the probability domain"
+        )]
+        if q == 1.0 {
             return u64::MAX;
         }
         // Start near mean, then linear scan (few steps in practice).

@@ -92,10 +92,14 @@ impl Continuous for StudentT {
 
     fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "StudentT::quantile: p in [0,1], got {p}");
-        if p == 0.0 { // tidy: allow(float-eq)
+        if p == 0.0 {
             return f64::NEG_INFINITY;
         }
-        if p == 1.0 { // tidy: allow(float-eq)
+        #[expect(
+            clippy::float_cmp,
+            reason = "p = 1 is the exact closed end of the probability domain"
+        )]
+        if p == 1.0 {
             return f64::INFINITY;
         }
         // Invert via the incomplete beta: for p >= 1/2,
@@ -129,7 +133,8 @@ impl Continuous for StudentT {
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
         // t = Z / sqrt(V / nu) with Z ~ N(0,1), V ~ chi²(nu).
         let z = Normal::standard().sample(rng);
-        let v = Gamma::new(self.nu / 2.0, 0.5).expect("validated").sample(rng); // tidy: allow(panic)
+        #[expect(clippy::expect_used, reason = "nu was validated positive at construction")]
+        let v = Gamma::new(self.nu / 2.0, 0.5).expect("validated").sample(rng);
         self.mu + self.sigma * z / (v / self.nu).sqrt()
     }
 }

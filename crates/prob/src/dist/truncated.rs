@@ -98,10 +98,14 @@ impl Continuous for TruncatedNormal {
 
     fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "TruncatedNormal::quantile: p in [0,1], got {p}");
-        if p == 0.0 { // tidy: allow(float-eq)
+        if p == 0.0 {
             return self.a;
         }
-        if p == 1.0 { // tidy: allow(float-eq)
+        #[expect(
+            clippy::float_cmp,
+            reason = "p = 1 is the exact closed end of the probability domain"
+        )]
+        if p == 1.0 {
             return self.b;
         }
         self.base

@@ -201,7 +201,8 @@ pub fn select_model(xs: &[f64]) -> Result<Vec<(FittedFamily, Box<dyn Continuous>
     if out.is_empty() {
         return Err(ProbError::EmptyData);
     }
-    out.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite AIC")); // tidy: allow(panic)
+    #[expect(clippy::expect_used, reason = "AIC of a successful fit is finite")]
+    out.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite AIC"));
     Ok(out)
 }
 

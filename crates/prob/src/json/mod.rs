@@ -59,7 +59,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::U64(n) => Some(*n),
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => { // tidy: allow(float-eq)
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
                 Some(*x as u64)
             }
             _ => None,

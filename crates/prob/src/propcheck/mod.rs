@@ -186,6 +186,10 @@ pub struct RunSummary {
 /// [`Config::max_rejects`], not treated as failures.
 pub fn assume(condition: bool) {
     if !condition {
+        #[expect(
+            clippy::panic,
+            reason = "unwinds with a Rejection payload, which the runner counts as a discarded case"
+        )]
         std::panic::panic_any(Rejection);
     }
 }
@@ -242,8 +246,12 @@ where
     S::Value: Clone + fmt::Debug,
     F: Fn(&S::Value),
 {
+    #[expect(
+        clippy::panic,
+        reason = "the test-facing entry point: a failing property must fail the test"
+    )]
     if let Err(failure) = check_config(&Config::new(name).cases(cases), strategy, property) {
-        panic!("{failure}"); // tidy: allow(panic)
+        panic!("{failure}");
     }
 }
 

@@ -56,7 +56,7 @@ pub fn ln_gamma(x: f64) -> f64 {
     if x < 0.5 {
         // Reflection formula: Γ(x) Γ(1-x) = π / sin(πx).
         let s = (std::f64::consts::PI * x).sin();
-        if s == 0.0 { // tidy: allow(float-eq)
+        if s == 0.0 {
             return f64::INFINITY; // poles at non-positive integers
         }
         std::f64::consts::PI.ln() - s.abs().ln() - ln_gamma(1.0 - x)
@@ -82,11 +82,12 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// assert!((gamma(6.0) - 120.0).abs() < 1e-9);
 /// ```
 pub fn gamma(x: f64) -> f64 {
+    #[expect(clippy::float_cmp, reason = "the poles sit at exactly the nonpositive integers")]
     if x > 0.0 {
         ln_gamma(x).exp()
     // Poles sit at exactly the nonpositive integers; the exact
     // comparison is the definition, not an accident.
-    } else if x == x.floor() { // tidy: allow(float-eq)
+    } else if x == x.floor() {
         f64::NAN
     } else {
         // Reflection: Γ(x) = π / (sin(πx) Γ(1-x))
@@ -125,7 +126,7 @@ pub fn digamma(x: f64) -> f64 {
 pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "reg_lower_gamma: requires a > 0, got {a}");
     assert!(x >= 0.0, "reg_lower_gamma: requires x >= 0, got {x}");
-    if x == 0.0 { // tidy: allow(float-eq)
+    if x == 0.0 {
         0.0
     } else if x < a + 1.0 {
         lower_gamma_series(a, x)
@@ -142,7 +143,7 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
 pub fn reg_upper_gamma(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "reg_upper_gamma: requires a > 0, got {a}");
     assert!(x >= 0.0, "reg_upper_gamma: requires x >= 0, got {x}");
-    if x == 0.0 { // tidy: allow(float-eq)
+    if x == 0.0 {
         1.0
     } else if x < a + 1.0 {
         1.0 - lower_gamma_series(a, x)
@@ -208,10 +209,11 @@ fn upper_gamma_cf(a: f64, x: f64) -> f64 {
 pub fn inv_reg_lower_gamma(a: f64, p: f64) -> f64 {
     assert!(a > 0.0, "inv_reg_lower_gamma: requires a > 0, got {a}");
     assert!((0.0..=1.0).contains(&p), "inv_reg_lower_gamma: p in [0,1], got {p}");
-    if p == 0.0 { // tidy: allow(float-eq)
+    if p == 0.0 {
         return 0.0;
     }
-    if p == 1.0 { // tidy: allow(float-eq)
+    #[expect(clippy::float_cmp, reason = "p = 1 is the exact closed end of the probability domain")]
+    if p == 1.0 {
         return f64::INFINITY;
     }
     // Wilson-Hilferty initial approximation.
@@ -266,10 +268,11 @@ pub fn ln_beta(a: f64, b: f64) -> f64 {
 pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "reg_inc_beta: requires a, b > 0, got ({a}, {b})");
     assert!((0.0..=1.0).contains(&x), "reg_inc_beta: x in [0,1], got {x}");
-    if x == 0.0 { // tidy: allow(float-eq)
+    if x == 0.0 {
         return 0.0;
     }
-    if x == 1.0 { // tidy: allow(float-eq)
+    #[expect(clippy::float_cmp, reason = "x = 1 is the exact closed end of the integration range")]
+    if x == 1.0 {
         return 1.0;
     }
     let front = (a * x.ln() + b * (1.0 - x).ln() - ln_beta(a, b)).exp();
@@ -338,10 +341,11 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "inv_reg_inc_beta: requires a, b > 0, got ({a}, {b})");
     assert!((0.0..=1.0).contains(&p), "inv_reg_inc_beta: p in [0,1], got {p}");
-    if p == 0.0 { // tidy: allow(float-eq)
+    if p == 0.0 {
         return 0.0;
     }
-    if p == 1.0 { // tidy: allow(float-eq)
+    #[expect(clippy::float_cmp, reason = "p = 1 is the exact closed end of the probability domain")]
+    if p == 1.0 {
         return 1.0;
     }
     let mut lo = 0.0_f64;
@@ -380,7 +384,7 @@ pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> f64 {
 /// assert!((erf(1.0) - 0.8427007929497149).abs() < 1e-12);
 /// ```
 pub fn erf(x: f64) -> f64 {
-    if x == 0.0 { // tidy: allow(float-eq)
+    if x == 0.0 {
         0.0
     } else if x > 0.0 {
         reg_lower_gamma(0.5, x * x)
@@ -429,10 +433,11 @@ pub fn standard_normal_pdf(x: f64) -> f64 {
 /// Range: `p` must lie in `(0, 1)` for a finite result; infinities at the ends.
 pub fn inverse_standard_normal_cdf(p: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p), "inverse_standard_normal_cdf: p in [0,1], got {p}");
-    if p == 0.0 { // tidy: allow(float-eq)
+    if p == 0.0 {
         return f64::NEG_INFINITY;
     }
-    if p == 1.0 { // tidy: allow(float-eq)
+    #[expect(clippy::float_cmp, reason = "p = 1 is the exact closed end of the probability domain")]
+    if p == 1.0 {
         return f64::INFINITY;
     }
     // Acklam coefficients.

@@ -128,7 +128,8 @@ impl SortedSample {
         if xs.iter().any(|x| x.is_nan()) {
             return Err(ProbError::InvalidParameter("sample contains NaN".into()));
         }
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("checked for NaN")); // tidy: allow(panic)
+        // NaN was rejected above, so `partial_cmp` is total here.
+        xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         Ok(Self { sorted: xs })
     }
 
@@ -235,7 +236,7 @@ pub fn pearson_correlation(xs: &[f64], ys: &[f64]) -> Result<f64> {
     let c = covariance(xs, ys)?;
     let sx = std_dev(xs)?;
     let sy = std_dev(ys)?;
-    if sx == 0.0 || sy == 0.0 { // tidy: allow(float-eq)
+    if sx == 0.0 || sy == 0.0 {
         return Err(ProbError::InvalidParameter("correlation of constant sample".into()));
     }
     Ok(c / (sx * sy))
@@ -255,11 +256,16 @@ pub fn spearman_correlation(xs: &[f64], ys: &[f64]) -> Result<f64> {
 /// Mid-ranks (ties get the average rank).
 fn ranks(xs: &[f64]) -> Vec<f64> {
     let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("NaN in rank input")); // tidy: allow(panic)
+    #[expect(clippy::expect_used, reason = "rank inputs come from NaN-free samples")]
+    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("NaN in rank input"));
     let mut out = vec![0.0; xs.len()];
     let mut i = 0;
     while i < idx.len() {
         let mut j = i;
+        #[expect(
+            clippy::float_cmp,
+            reason = "mid-ranks group exactly equal values; a tolerance would merge distinct observations"
+        )]
         while j + 1 < idx.len() && xs[idx[j + 1]] == xs[idx[i]] {
             j += 1;
         }

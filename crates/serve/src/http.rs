@@ -198,7 +198,10 @@ impl<S: Read> HttpConn<S> {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Ok(false),
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    // A reader claiming more bytes than the chunk holds
+                    // breaks the `Read` contract; treat it as a dead peer.
+                    let read = chunk.get(..n).ok_or(ServeError::Closed)?;
+                    self.buf.extend_from_slice(read);
                     return Ok(true);
                 }
                 Err(e)
@@ -218,6 +221,16 @@ impl<S: Read> HttpConn<S> {
     /// Position just past the `\r\n\r\n` head terminator, if buffered.
     fn head_end(&self) -> Option<usize> {
         self.buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+    }
+
+    /// The buffered head before the terminator that ends at `head_end`,
+    /// decoded lossily (header values are checked field by field later).
+    fn head_text(&self, head_end: usize) -> Result<String> {
+        let head = head_end
+            .checked_sub(4)
+            .and_then(|end| self.buf.get(..end))
+            .ok_or_else(|| ServeError::Protocol("truncated message head".into()))?;
+        Ok(String::from_utf8_lossy(head).into_owned())
     }
 
     /// Reads the next request off the connection.
@@ -256,7 +269,7 @@ impl<S: Read> HttpConn<S> {
                 return Err(ServeError::Closed);
             }
         };
-        let head = String::from_utf8_lossy(&self.buf[..head_end - 4]).into_owned();
+        let head = self.head_text(head_end)?;
         let mut lines = head.split("\r\n");
         let request_line = lines.next().unwrap_or("");
         let mut parts = request_line.split(' ');
@@ -342,7 +355,7 @@ impl<S: Read> HttpConn<S> {
                 return Err(ServeError::Closed);
             }
         };
-        let head = String::from_utf8_lossy(&self.buf[..head_end - 4]).into_owned();
+        let head = self.head_text(head_end)?;
         let mut lines = head.split("\r\n");
         let status_line = lines.next().unwrap_or("");
         let mut parts = status_line.split(' ');
@@ -388,7 +401,7 @@ impl<S: Read> HttpConn<S> {
                 return Err(ServeError::Closed);
             }
         }
-        let body = self.buf[head_end..total].to_vec();
+        let body = self.buf.get(head_end..total).ok_or(ServeError::Closed)?.to_vec();
         self.buf.drain(..total);
         Ok(body)
     }

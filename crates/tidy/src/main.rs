@@ -13,8 +13,6 @@
 //!   --explain [rule]     print what a rule enforces and why, then exit;
 //!                        with no rule, list every rule one per line
 //!                        (unknown rules exit 2)
-//!   --dump-modules       print the resolved module tree, item
-//!                        reachability and re-exports per crate, then exit
 //!   --dump-cfg           print every function's control-flow graph
 //!                        (basic blocks, token ranges, successor edges),
 //!                        then exit
@@ -48,7 +46,6 @@ struct Options {
     baseline: Option<PathBuf>,
     write_baseline: bool,
     explain: Option<ExplainMode>,
-    dump_modules: bool,
     dump_cfg: bool,
 }
 
@@ -60,7 +57,6 @@ fn parse_args() -> Result<Options, String> {
         baseline: None,
         write_baseline: false,
         explain: None,
-        dump_modules: false,
         dump_cfg: false,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -89,7 +85,6 @@ fn parse_args() -> Result<Options, String> {
                     _ => ExplainMode::All,
                 });
             }
-            "--dump-modules" => opts.dump_modules = true,
             "--dump-cfg" => opts.dump_cfg = true,
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag `{flag}`"));
@@ -99,66 +94,6 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(opts)
-}
-
-/// Renders the resolved module trees behind `--dump-modules`: per
-/// crate, every module with its declaration status and namespace
-/// reachability, each public item with whether a root `pub` chain
-/// reaches it, and each `use` declaration.
-fn dump_modules(ws: &sysunc_tidy::symbols::Workspace<'_>) -> String {
-    let mut out = String::new();
-    for krate in &ws.crates {
-        out.push_str(&format!("crate {}\n", krate.name));
-        let mut order: Vec<usize> = (0..krate.modules().len()).collect();
-        order.sort_by(|&a, &b| krate.modules()[a].path.cmp(&krate.modules()[b].path));
-        for mi in order {
-            let m = &krate.modules()[mi];
-            let indent = "  ".repeat(m.path.len() + 1);
-            let label = if m.path.is_empty() { "(root)" } else { m.name.as_str() };
-            let status = if m.path.is_empty() {
-                "root"
-            } else if !m.declared {
-                "UNDECLARED"
-            } else if krate.reach.module_ns[mi] {
-                "reachable"
-            } else {
-                "private"
-            };
-            out.push_str(&format!(
-                "{indent}mod {label} [{status}] — {}\n",
-                ws.files[m.file_idx].path.display()
-            ));
-            for (ii, item) in m.items.iter().enumerate() {
-                if !item.vis.is_pub() {
-                    continue;
-                }
-                let mark = if krate.reach.items[mi][ii] { "+" } else { "-" };
-                out.push_str(&format!(
-                    "{indent}  {mark} pub {} {} (line {})\n",
-                    item.kind, item.name, item.line
-                ));
-            }
-            for u in &m.uses {
-                let vis = if u.vis.is_pub() { "pub use" } else { "use" };
-                let glob = if u.glob { "::*" } else { "" };
-                let alias = u.alias.as_deref().map(|a| format!(" as {a}")).unwrap_or_default();
-                out.push_str(&format!(
-                    "{indent}  {vis} {}{glob}{alias} (line {})\n",
-                    u.path.join("::"),
-                    u.line
-                ));
-            }
-        }
-        if !krate.reach.unresolved_names.is_empty() {
-            let mut names: Vec<&String> = krate.reach.unresolved_names.iter().collect();
-            names.sort();
-            out.push_str(&format!(
-                "  unresolved pub-use fallback names: {}\n",
-                names.iter().map(|s| s.as_str()).collect::<Vec<_>>().join(", ")
-            ));
-        }
-    }
-    out
 }
 
 /// Renders every function's control-flow graph behind `--dump-cfg`:
@@ -275,12 +210,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.dump_modules {
-        let ws = sysunc_tidy::symbols::Workspace::build(&files);
-        print!("{}", dump_modules(&ws));
-        return ExitCode::SUCCESS;
-    }
-
     if opts.dump_cfg {
         print!("{}", dump_cfg(&files));
         return ExitCode::SUCCESS;
@@ -354,7 +283,7 @@ fn main() -> ExitCode {
         let parts: Vec<String> =
             by_rule.iter().map(|(r, n)| format!("{r}: {n}")).collect();
         println!(
-            "sysunc-tidy: {} acknowledged exception(s) via `tidy: allow` ({})",
+            "sysunc-tidy: {} acknowledged exception(s) via `tidy: allow` or `#[expect]` ({})",
             report.allowed.len(),
             parts.join(", ")
         );

@@ -10,7 +10,7 @@
 //!   "files_scanned": 139,
 //!   "clean": true,
 //!   "violations": [
-//!     {"file": "crates/x/src/lib.rs", "line": 7, "rule": "panic",
+//!     {"file": "crates/x/src/lib.rs", "line": 7, "rule": "seed-discipline",
 //!      "resolution": "token", "message": "…"}
 //!   ],
 //!   "allowed":   [ …same shape… ],
@@ -19,19 +19,20 @@
 //! ```
 //!
 //! `resolution` records which analysis layer produced each finding —
-//! `"token"` (plain token-stream scan), `"module-graph"` (resolved
-//! over the module tree / item graph), `"type-flow"` (derived from
-//! the type-annotation dataflow), or `"cfg"` (control-flow-graph
-//! dataflow: lock liveness, lock-order cycles, panic reachability) —
-//! so downstream consumers can weigh provenance. Schema `/1` lacked
-//! the field; `/2` added it; `/3` added the `cfg` value and the
-//! `lock-order-cycle` / `panic-path` rules.
+//! `"token"` (plain token-stream scan) or `"cfg"` (control-flow-graph
+//! dataflow: lock liveness, lock-order cycles) — so downstream
+//! consumers can weigh provenance. Schema `/1` lacked the field; `/2`
+//! added it; `/3` added the `cfg` value. The `module-graph` and
+//! `type-flow` values left with the rules that produced them (their
+//! duty moved to rustc and clippy); the shape is unchanged.
 //!
 //! `violations` are the findings that fail the gate; `allowed` were
-//! acknowledged with `tidy: allow` comments; `baselined` were absorbed
-//! by the ratchet file. The emitter is hand-rolled (the gate has zero
-//! dependencies by design) and the output is asserted parseable by the
-//! workspace's own JSON reader (`sysunc::prob::json`) in CI.
+//! acknowledged with `tidy: allow` comments, or are `#[expect]`s of a
+//! workspace-table lint listed under the retired rule's name (the
+//! suppression ledger); `baselined` were absorbed by the ratchet file.
+//! The emitter is hand-rolled (the gate has zero dependencies by
+//! design) and the output is asserted parseable by the workspace's own
+//! JSON reader (`sysunc::prob::json`) in CI.
 //!
 //! ## Baseline ratchet (`tidy.baseline`)
 //!
@@ -42,7 +43,7 @@
 //!
 //! ```text
 //! # comment
-//! crates/legacy/src/lib.rs<TAB>panic<TAB>3
+//! crates/legacy/src/lib.rs<TAB>lock-hygiene<TAB>3
 //! ```
 //!
 //! Up to `count` matching violations are downgraded to `baselined`;
@@ -261,8 +262,8 @@ mod tests {
     #[test]
     fn json_output_has_schema_counts_and_escaping() {
         let report = Report {
-            violations: vec![v("a/b.rs", 3, "panic", "found `x.unwrap()` \"quoted\"")],
-            allowed: vec![v("a/b.rs", 9, "float-eq", "tab\there")],
+            violations: vec![v("a/b.rs", 3, "lock-hygiene", "found `x.unwrap()` \"quoted\"")],
+            allowed: vec![v("a/b.rs", 9, "lock-hygiene", "tab\there")],
             baselined: vec![],
             files_scanned: 2,
         };
@@ -278,7 +279,7 @@ mod tests {
 
     #[test]
     fn baseline_parses_comments_blanks_and_entries() {
-        let text = "# header\n\ncrates/x/src/lib.rs\tpanic\t2\n";
+        let text = "# header\n\ncrates/x/src/lib.rs\tlock-hygiene\t2\n";
         let b = Baseline::parse(text).expect("valid");
         assert!(!b.is_empty());
         assert_eq!(
@@ -286,7 +287,7 @@ mod tests {
             Baseline {
                 entries: vec![BaselineEntry {
                     file: "crates/x/src/lib.rs".into(),
-                    rule: "panic".into(),
+                    rule: "lock-hygiene".into(),
                     count: 2
                 }]
             }
@@ -297,19 +298,19 @@ mod tests {
 
     #[test]
     fn baseline_absorbs_up_to_budget_and_reports_stale() {
-        let b = Baseline::parse("a.rs\tpanic\t2\nb.rs\tdoc\t1\n").expect("valid");
+        let b = Baseline::parse("a.rs\tlock-hygiene\t2\nb.rs\tprob-contract\t1\n").expect("valid");
         let mut report = Report {
             violations: vec![
-                v("a.rs", 1, "panic", "one"),
-                v("a.rs", 2, "panic", "two"),
-                v("a.rs", 3, "panic", "three"),
-                v("a.rs", 4, "doc", "unrelated rule"),
+                v("a.rs", 1, "lock-hygiene", "one"),
+                v("a.rs", 2, "lock-hygiene", "two"),
+                v("a.rs", 3, "lock-hygiene", "three"),
+                v("a.rs", 4, "prob-contract", "unrelated rule"),
             ],
             ..Report::default()
         };
         let stale = b.apply(&mut report);
         assert_eq!(report.baselined.len(), 2, "two absorbed by the budget");
-        assert_eq!(report.violations.len(), 2, "excess panic + unrelated doc stand");
+        assert_eq!(report.violations.len(), 2, "excess lock-hygiene + unrelated prob-contract stand");
         assert_eq!(stale.len(), 1, "the b.rs budget went unused");
         assert_eq!(stale[0].entry.file, "b.rs");
         assert_eq!(stale[0].actual, 0);
@@ -322,17 +323,17 @@ mod tests {
         // everything, with no stale entries left over.
         let mk_report = || Report {
             violations: vec![
-                v("crates/x/src/lib.rs", 1, "panic", "one"),
-                v("crates/x/src/lib.rs", 5, "panic", "two"),
-                v("crates/y/src/a.rs", 2, "doc", "three"),
+                v("crates/x/src/lib.rs", 1, "lock-hygiene", "one"),
+                v("crates/x/src/lib.rs", 5, "lock-hygiene", "two"),
+                v("crates/y/src/a.rs", 2, "prob-contract", "three"),
             ],
             ..Report::default()
         };
         let baseline = Baseline::from_report(&mk_report());
         let text = baseline.render();
         assert!(text.starts_with('#'), "rendered baseline carries its header");
-        assert!(text.contains("crates/x/src/lib.rs\tpanic\t2\n"));
-        assert!(text.contains("crates/y/src/a.rs\tdoc\t1\n"));
+        assert!(text.contains("crates/x/src/lib.rs\tlock-hygiene\t2\n"));
+        assert!(text.contains("crates/y/src/a.rs\tprob-contract\t1\n"));
         let reparsed = Baseline::parse(&text).expect("rendered baseline parses");
         assert_eq!(reparsed, baseline, "render/parse round-trip is exact");
         let mut report = mk_report();
@@ -356,7 +357,7 @@ mod tests {
         let b = Baseline::parse("# only comments\n").expect("valid");
         assert!(b.is_empty());
         let mut report =
-            Report { violations: vec![v("a.rs", 1, "panic", "x")], ..Report::default() };
+            Report { violations: vec![v("a.rs", 1, "lock-hygiene", "x")], ..Report::default() };
         let stale = b.apply(&mut report);
         assert!(stale.is_empty());
         assert_eq!(report.violations.len(), 1);

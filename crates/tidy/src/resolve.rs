@@ -1,156 +1,27 @@
-//! Semantic resolution layer: module tree, item graph, and
-//! per-function type-annotation dataflow.
+//! Per-function signature index: the facts the control-flow and
+//! call layers build on.
 //!
-//! The earlier symbol table answered "is this name re-exported
-//! *anywhere*?" — a deliberately over-approximate question, because it
-//! could not see module structure. This layer parses each file's token
-//! stream into a real **module tree** (the file scope plus every inline
-//! `mod name { … }` block, with exact item spans), assembles the trees
-//! of one crate into a **module graph** by linking `mod name;`
-//! declarations to their files, and resolves `use`/`pub use` paths —
-//! including globs, aliases, `crate::`/`self::`/`super::` prefixes and
-//! re-export chains — against that graph. Reachability then becomes an
-//! exact question: an item is public API iff a `pub` chain from the
-//! crate root actually reaches it ([`CrateGraph::root_reachable`]).
+//! [`parse_facts`] walks one file's token stream and records every
+//! `fn` (module level, impl block, or nested) with its parameter and
+//! return type annotations, its exact body extent and the `Self` type
+//! of its enclosing `impl`, plus every `struct` with its simply-typed
+//! named fields. [`crate::cfg`] builds block graphs over the body
+//! extents, `lock-hygiene` walks them for guard liveness, and
+//! [`crate::calls`] resolves call sites through the annotations
+//! (`self.pool.try_submit(..)` follows the field `pool: WorkerPool`).
 //!
-//! A second pass extracts a **function/struct signature index**
-//! ([`FileFacts`]): every `fn` with its parameter and return type
-//! annotations and its exact body extent, and every `struct` with its
-//! float-typed named fields. This is what lets `float-eq` follow a
-//! float through a parameter, a call result, or a field access instead
-//! of only spotting literals, and what `lock-hygiene` walks for guard
-//! liveness.
-//!
-//! In the paper's vocabulary: the over-approximate table left residual
-//! *epistemic* uncertainty about our own code ("is this `pub` item
-//! actually reachable? we cannot tell"); replacing heuristics with
-//! resolution discharges that uncertainty instead of sampling around
-//! it. Where resolution still fails (a path through a macro, an
-//! external crate), the reachability analysis degrades to the old
-//! name-level over-approximation for that path only — a lint must
-//! never accuse reachable code.
-
-use std::collections::{HashMap, HashSet};
+//! Annotations are reduced to what those layers need: a type's last
+//! path segment, with `Arc`/`Rc`/`Box` treated as transparent. Paths,
+//! visibility and reachability are not modelled; rustc owns those
+//! questions (`unreachable_pub`, `missing_docs`).
 
 use crate::cursor::Cursor;
 use crate::lexer::TokenKind;
 use crate::SourceFile;
 
-/// Visibility of an item, module or use declaration, as written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Visibility {
-    /// Unrestricted `pub`.
-    Pub,
-    /// `pub(crate)`, `pub(super)`, `pub(in …)`.
-    Restricted,
-    /// No visibility keyword.
-    Private,
-}
-
-impl Visibility {
-    /// True only for unrestricted `pub`.
-    pub fn is_pub(self) -> bool {
-        matches!(self, Visibility::Pub)
-    }
-}
-
-/// One named item declared at module level.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Item {
-    /// Item keyword: `fn`, `struct`, `enum`, `trait`, `const`,
-    /// `static`, `type`, `union`, `macro`.
-    pub kind: &'static str,
-    /// The declared name.
-    pub name: String,
-    /// Visibility as written (`macro_rules!` with `#[macro_export]`
-    /// counts as `Pub`).
-    pub vis: Visibility,
-    /// 1-based line of the declaration.
-    pub line: usize,
-    /// 1-based line of the item's last token (exact span).
-    pub end_line: usize,
-}
-
-/// One leaf of a `use` tree, with its visibility.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseDecl {
-    /// Visibility of the whole `use` declaration.
-    pub vis: Visibility,
-    /// Path segments as written (may start with `crate`, `self`,
-    /// `super`, or an external crate name). A trailing `self` leaf
-    /// (`use a::{self}`) is normalized away, so the last segment is
-    /// the name being imported.
-    pub path: Vec<String>,
-    /// True for `path::*`.
-    pub glob: bool,
-    /// The `as` rename, when present.
-    pub alias: Option<String>,
-    /// 1-based line of the leaf.
-    pub line: usize,
-}
-
-impl UseDecl {
-    /// The name this leaf binds in its module's namespace (`None` for
-    /// globs).
-    pub fn binding(&self) -> Option<&str> {
-        if self.glob {
-            return None;
-        }
-        self.alias.as_deref().or_else(|| self.path.last().map(String::as_str))
-    }
-}
-
-/// A `mod name;` declaration referring to a file module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModDecl {
-    /// The declared module name.
-    pub name: String,
-    /// Visibility as written.
-    pub vis: Visibility,
-    /// 1-based line of the declaration.
-    pub line: usize,
-}
-
-/// One module scope within a single file: index 0 is the file scope,
-/// every inline `mod name { … }` block adds one.
-#[derive(Debug, Clone, Default)]
-pub struct Scope {
-    /// Inline module name; empty for the file scope.
-    pub name: String,
-    /// Parent scope index (`None` for the file scope).
-    pub parent: Option<usize>,
-    /// How the inline module was declared.
-    pub vis: Visibility,
-    /// 1-based line of the `mod` keyword (0 for the file scope).
-    pub line: usize,
-    /// Items declared directly in this scope.
-    pub items: Vec<Item>,
-    /// `mod name;` file-module declarations in this scope.
-    pub mod_decls: Vec<ModDecl>,
-    /// Use-tree leaves declared in this scope.
-    pub uses: Vec<UseDecl>,
-    /// Inline child scopes.
-    pub children: Vec<usize>,
-}
-
-impl Default for Visibility {
-    fn default() -> Self {
-        Visibility::Private
-    }
-}
-
-/// The module scopes of one file, from [`parse_scopes`].
-#[derive(Debug, Clone)]
-pub struct FileScopes {
-    /// Scope 0 is the file scope.
-    pub scopes: Vec<Scope>,
-}
-
-/// A type annotation reduced to what the dataflow needs.
+/// A type annotation reduced to what call resolution needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TypeAnn {
-    /// Exactly `f32` or `f64` (possibly behind `&`/`&mut`).
-    Float(&'static str),
     /// A simple named type (last path segment, generics stripped).
     Named(String),
     /// Anything else (tuples, fn pointers, impl Trait, …).
@@ -187,13 +58,11 @@ pub struct FnInfo {
     pub self_ty: Option<String>,
 }
 
-/// One `struct` with named fields, keeping the float-typed ones.
+/// One `struct` with its simply-typed named fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructInfo {
     /// The struct name.
     pub name: String,
-    /// Named fields annotated `f32`/`f64`, with the float type.
-    pub float_fields: Vec<(String, &'static str)>,
     /// Every named field with a simple named type annotation (last
     /// path segment): receiver-type method resolution follows field
     /// accesses (`self.pool.try_submit(..)`) through these.
@@ -209,289 +78,6 @@ pub struct FileFacts {
     pub fns: Vec<FnInfo>,
     /// All structs with named fields.
     pub structs: Vec<StructInfo>,
-}
-
-/// Item keywords that declare a named symbol.
-const ITEM_KINDS: &[&str] =
-    &["fn", "struct", "enum", "trait", "const", "static", "type", "union"];
-
-// ---------------------------------------------------------------------
-// Pass A: module scopes (tree of inline modules + items + uses)
-// ---------------------------------------------------------------------
-
-/// Parses one file's module scopes: items, `mod` declarations and use
-/// trees per scope, with inline `mod { }` blocks as child scopes.
-/// `#[cfg(test)]` extents are excluded throughout.
-pub fn parse_scopes(file: &SourceFile) -> FileScopes {
-    let mut scopes = vec![Scope::default()];
-    let tokens = file.tokens();
-    let end = tokens.len();
-    parse_scope_body(file, 0, end, 0, &mut scopes);
-    FileScopes { scopes }
-}
-
-/// Parses declarations in `tokens[from..to]` into scope `scope`,
-/// recursing into inline modules. Balanced regions of items we do not
-/// model (fn bodies, impl/trait blocks, braced initializers) are
-/// skipped whole, so brace depth stays exact.
-fn parse_scope_body(
-    file: &SourceFile,
-    from: usize,
-    to: usize,
-    scope: usize,
-    scopes: &mut Vec<Scope>,
-) {
-    let src = &file.content;
-    let tokens = file.tokens();
-    let mut i = from;
-    while i < to {
-        let t = &tokens[i];
-        if t.is_comment() {
-            i += 1;
-            continue;
-        }
-        // Attributes: detect `#[macro_export]`, skip the rest.
-        if t.kind == TokenKind::Punct && t.text(src) == "#" {
-            let mut c = Cursor::new(src, tokens);
-            c.seek(i + 1);
-            c.skip_comments();
-            // `#![…]` inner attributes too.
-            if c.at_punct("!") {
-                c.bump();
-                c.skip_comments();
-            }
-            if c.at_punct("[") {
-                let open = c.pos();
-                if let Some(end) = c.skip_balanced("[", "]") {
-                    let macro_export = tokens[open..end]
-                        .iter()
-                        .any(|u| u.kind == TokenKind::Ident && u.text(src) == "macro_export");
-                    i = end;
-                    if macro_export {
-                        // Attach to the following `macro_rules!` item.
-                        i = parse_macro_rules(file, i, to, scope, scopes, true)
-                            .unwrap_or(i);
-                    }
-                    continue;
-                }
-            }
-            i += 1;
-            continue;
-        }
-        if t.kind != TokenKind::Ident {
-            i += 1;
-            continue;
-        }
-        if file.in_test_block(t.line) {
-            i += 1;
-            continue;
-        }
-        // Visibility marker.
-        let decl_start = i;
-        let mut vis = Visibility::Private;
-        let mut c = Cursor::new(src, tokens);
-        c.seek(i);
-        if c.eat_ident("pub") {
-            vis = Visibility::Pub;
-            c.skip_comments();
-            if c.at_punct("(") {
-                vis = Visibility::Restricted;
-                if c.skip_balanced("(", ")").is_none() {
-                    return;
-                }
-            }
-        }
-        // Item modifiers, then the keyword.
-        let kind = loop {
-            c.skip_comments();
-            let Some(word) = c.eat_any_ident() else { break None };
-            match word {
-                "unsafe" | "async" | "default" => continue,
-                "extern" => {
-                    c.skip_comments();
-                    if matches!(
-                        c.peek().map(|t| t.kind),
-                        Some(TokenKind::Str | TokenKind::RawStr)
-                    ) {
-                        c.bump();
-                    }
-                    continue;
-                }
-                "const" => {
-                    c.skip_comments();
-                    if c.at_ident("fn") {
-                        c.bump();
-                        break Some("fn");
-                    }
-                    break Some("const");
-                }
-                "static" => {
-                    c.skip_comments();
-                    if c.at_ident("mut") {
-                        c.bump();
-                    }
-                    break Some("static");
-                }
-                "macro_rules" => {
-                    if let Some(next) =
-                        parse_macro_rules(file, decl_start, to, scope, scopes, false)
-                    {
-                        i = next;
-                    } else {
-                        i = c.pos();
-                    }
-                    break None;
-                }
-                "mod" | "use" | "impl" | "trait" => break Some(match word {
-                    "mod" => "mod",
-                    "use" => "use",
-                    "impl" => "impl",
-                    _ => "trait",
-                }),
-                w if ITEM_KINDS.contains(&w) => {
-                    break ITEM_KINDS.iter().find(|k| **k == w).copied()
-                }
-                _ => break None,
-            }
-        };
-        let Some(kind) = kind else {
-            i = c.pos().max(i + 1);
-            continue;
-        };
-        match kind {
-            "mod" => {
-                let line = tokens[decl_start].line;
-                let Some(name) = c.eat_any_ident() else {
-                    i = c.pos();
-                    continue;
-                };
-                let name = name.to_string();
-                c.skip_comments();
-                if c.at_punct(";") {
-                    c.bump();
-                    scopes[scope].mod_decls.push(ModDecl { name, vis, line });
-                    i = c.pos();
-                } else if c.at_punct("{") {
-                    let open = c.pos();
-                    let close = matching_close(file, open, "{", "}");
-                    let child = scopes.len();
-                    scopes.push(Scope {
-                        name,
-                        parent: Some(scope),
-                        vis,
-                        line,
-                        ..Scope::default()
-                    });
-                    scopes[scope].children.push(child);
-                    parse_scope_body(file, open + 1, close, child, scopes);
-                    i = close + 1;
-                } else {
-                    i = c.pos();
-                }
-            }
-            "use" => {
-                let line = tokens[decl_start].line;
-                let mut leaves = Vec::new();
-                parse_use_tree(file, &mut c, &mut Vec::new(), &mut leaves);
-                for (path, glob, alias) in leaves {
-                    if !path.is_empty() || glob {
-                        scopes[scope].uses.push(UseDecl { vis, path, glob, alias, line });
-                    }
-                }
-                i = c.pos();
-            }
-            "impl" => {
-                // Not a named item; skip the whole block.
-                i = skip_to_block_end(file, c.pos(), to);
-            }
-            "trait" => {
-                let line = tokens[decl_start].line;
-                if let Some(name) = c.eat_any_ident() {
-                    let end = skip_to_block_end(file, c.pos(), to);
-                    scopes[scope].items.push(Item {
-                        kind: "trait",
-                        name: name.to_string(),
-                        vis,
-                        line,
-                        end_line: tokens[end.saturating_sub(1).min(tokens.len() - 1)]
-                            .end_line,
-                    });
-                    i = end;
-                } else {
-                    i = c.pos();
-                }
-            }
-            kind => {
-                let line = tokens[decl_start].line;
-                let Some(name) = c.eat_any_ident() else {
-                    i = c.pos();
-                    continue;
-                };
-                let name = name.to_string();
-                // Skip to the end of the item: its body's matching `}`
-                // or the terminating `;`, whichever comes first at
-                // depth 0 (generics, where-clauses and initializers are
-                // walked token-by-token; `;` inside braces or brackets
-                // — e.g. `[0; 4]` — does not terminate).
-                let end = skip_item_end(file, c.pos(), to);
-                scopes[scope].items.push(Item {
-                    kind,
-                    name,
-                    vis,
-                    line,
-                    end_line: tokens[end.saturating_sub(1).min(tokens.len() - 1)].end_line,
-                });
-                i = end;
-            }
-        }
-    }
-}
-
-/// Records a `macro_rules! name { … }` item and returns the index one
-/// past its body. `start` points at the attribute/`macro_rules` token.
-fn parse_macro_rules(
-    file: &SourceFile,
-    start: usize,
-    to: usize,
-    scope: usize,
-    scopes: &mut Vec<Scope>,
-    exported: bool,
-) -> Option<usize> {
-    let src = &file.content;
-    let tokens = file.tokens();
-    let mut c = Cursor::new(src, tokens);
-    c.seek(start);
-    // Walk forward to `macro_rules` (skipping comments/whitespace-only
-    // distance; bounded so an attribute on another item bails out).
-    let mut steps = 0;
-    while !c.at_ident("macro_rules") {
-        c.bump()?;
-        steps += 1;
-        if steps > 4 || c.pos() >= to {
-            return None;
-        }
-    }
-    let line = c.peek()?.line;
-    c.bump(); // macro_rules
-    if !c.eat_punct("!") {
-        return None;
-    }
-    let name = c.eat_any_ident()?.to_string();
-    let open = {
-        c.skip_comments();
-        c.pos()
-    };
-    let close = matching_close(file, open, "{", "}");
-    if !file.in_test_block(line) {
-        scopes[scope].items.push(Item {
-            kind: "macro",
-            name,
-            vis: if exported { Visibility::Pub } else { Visibility::Private },
-            line,
-            end_line: tokens[close.min(tokens.len() - 1)].end_line,
-        });
-    }
-    Some(close + 1)
 }
 
 /// Index of the token matching the next `open` at or after `i`
@@ -516,132 +102,6 @@ pub(crate) fn matching_close(file: &SourceFile, i: usize, open: &str, close: &st
     }
     j
 }
-
-/// Skips from `i` past the next `{…}` block (or a bare `;`), returning
-/// the index one past it. Used for impl/trait bodies.
-fn skip_to_block_end(file: &SourceFile, i: usize, to: usize) -> usize {
-    let tokens = file.tokens();
-    let mut j = i;
-    while j < to {
-        if tokens[j].kind == TokenKind::Punct {
-            match file.text(&tokens[j]) {
-                "{" => return matching_close(file, j, "{", "}") + 1,
-                ";" => return j + 1,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    to
-}
-
-/// Skips from `i` to one past the end of an item declaration: the
-/// matching `}` of its first depth-0 `{`, or the first depth-0 `;`.
-/// Parens/brackets are tracked so `;` inside `[0; 4]` or a closure does
-/// not terminate early.
-fn skip_item_end(file: &SourceFile, i: usize, to: usize) -> usize {
-    let tokens = file.tokens();
-    let mut j = i;
-    let mut paren = 0i64;
-    while j < to {
-        if tokens[j].kind == TokenKind::Punct {
-            match file.text(&tokens[j]) {
-                "(" | "[" => paren += 1,
-                ")" | "]" => paren -= 1,
-                "{" => return matching_close(file, j, "{", "}") + 1,
-                ";" if paren <= 0 => return j + 1,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    to
-}
-
-/// Parses one use tree into `(path, glob, alias)` leaves. `prefix` is
-/// the path accumulated so far; consumes through the terminating `;`.
-fn parse_use_tree(
-    file: &SourceFile,
-    c: &mut Cursor<'_>,
-    prefix: &mut Vec<String>,
-    out: &mut Vec<(Vec<String>, bool, Option<String>)>,
-) {
-    let mut path = prefix.clone();
-    loop {
-        c.skip_comments();
-        if c.at_punct("*") {
-            c.bump();
-            out.push((path.clone(), true, None));
-            break;
-        }
-        if c.at_punct("{") {
-            c.bump();
-            loop {
-                c.skip_comments();
-                if c.at_punct("}") {
-                    c.bump();
-                    break;
-                }
-                parse_use_tree(file, c, &mut path.clone(), out);
-                c.skip_comments();
-                if c.at_punct(",") {
-                    c.bump();
-                }
-                if c.peek().is_none() {
-                    break;
-                }
-            }
-            break;
-        }
-        let Some(seg) = c.eat_any_ident() else { break };
-        if seg == "as" {
-            let alias = c.eat_any_ident().map(str::to_string);
-            out.push((path.clone(), false, alias));
-            break;
-        }
-        // `self` as a *leaf* (`use a::{self, b}`) imports the path so
-        // far; `self::` as a *prefix* stays a path segment.
-        if seg == "self" && !path.is_empty() {
-            c.skip_comments();
-            if c.at_punct("::") {
-                path.push(seg.to_string());
-                c.bump();
-                continue;
-            }
-            // Leaf, possibly aliased.
-            let alias = if c.at_ident("as") {
-                c.bump();
-                c.eat_any_ident().map(str::to_string)
-            } else {
-                None
-            };
-            out.push((path.clone(), false, alias));
-            break;
-        }
-        path.push(seg.to_string());
-        c.skip_comments();
-        if c.at_punct("::") {
-            c.bump();
-            continue;
-        }
-        if c.at_ident("as") {
-            c.bump();
-            let alias = c.eat_any_ident().map(str::to_string);
-            out.push((path.clone(), false, alias));
-            break;
-        }
-        out.push((path.clone(), false, None));
-        break;
-    }
-    c.skip_comments();
-    if c.at_punct(";") {
-        c.bump();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pass B: function/struct signature index
-// ---------------------------------------------------------------------
 
 /// Extracts every `fn` signature+body extent and every named-field
 /// `struct` from the file, at any nesting depth, in source order.
@@ -790,7 +250,6 @@ fn impl_self_ty(file: &SourceFile, kw: usize, body_open: usize) -> Option<String
     c.seek(start);
     match parse_type(file, &mut c) {
         TypeAnn::Named(name) if name != "dyn" => Some(name),
-        TypeAnn::Float(f) => Some(f.to_string()),
         _ => None,
     }
 }
@@ -868,11 +327,7 @@ fn parse_type_head(file: &SourceFile, c: &mut Cursor<'_>) -> TypeAnn {
                 break;
             }
             let transparent = matches!(last.as_str(), "Arc" | "Rc" | "Box");
-            ann = match last.as_str() {
-                "f32" => TypeAnn::Float("f32"),
-                "f64" => TypeAnn::Float("f64"),
-                _ => TypeAnn::Named(last),
-            };
+            ann = TypeAnn::Named(last);
             c.skip_comments();
             if c.at_punct("<") {
                 if transparent {
@@ -887,7 +342,7 @@ fn parse_type_head(file: &SourceFile, c: &mut Cursor<'_>) -> TypeAnn {
                     skip_generics(file, c);
                 } else {
                     // Other generic arguments demote to a plain named
-                    // head type (`Vec<f64>` is not a float).
+                    // head type (`Vec<f64>` is a `Vec`).
                     skip_generics(file, c);
                 }
             }
@@ -1048,7 +503,7 @@ fn parse_fn(file: &SourceFile, i: usize) -> (Option<FnInfo>, usize) {
 }
 
 /// Parses one `struct` whose keyword sits at token `i`, recording its
-/// float-typed named fields. Tuple and unit structs return no fields.
+/// simply-typed named fields. Tuple and unit structs return no fields.
 fn parse_struct(file: &SourceFile, i: usize) -> (Option<StructInfo>, usize) {
     let src = &file.content;
     let tokens = file.tokens();
@@ -1067,18 +522,17 @@ fn parse_struct(file: &SourceFile, i: usize) -> (Option<StructInfo>, usize) {
         if tokens[j].kind == TokenKind::Punct {
             match file.text(&tokens[j]) {
                 "{" => break,
-                ";" | "(" => return (Some(StructInfo { name, float_fields: Vec::new(), named_fields: Vec::new() }), j),
+                ";" | "(" => return (Some(StructInfo { name, named_fields: Vec::new() }), j),
                 _ => {}
             }
         }
         j += 1;
     }
     if j >= tokens.len() {
-        return (Some(StructInfo { name, float_fields: Vec::new(), named_fields: Vec::new() }), j);
+        return (Some(StructInfo { name, named_fields: Vec::new() }), j);
     }
     let open = j;
     let close = matching_close(file, open, "{", "}");
-    let mut float_fields = Vec::new();
     let mut named_fields = Vec::new();
     let mut f = Cursor::new(src, tokens);
     f.seek(open + 1);
@@ -1110,401 +564,12 @@ fn parse_struct(file: &SourceFile, i: usize) -> (Option<StructInfo>, usize) {
         if !f.eat_punct(":") {
             continue;
         }
-        match parse_type(file, &mut f) {
-            TypeAnn::Float(ty) => {
-                float_fields.push((field.clone(), ty));
-                named_fields.push((field, ty.to_string()));
-            }
-            TypeAnn::Named(ty) => named_fields.push((field, ty)),
-            TypeAnn::Other => {}
+        if let TypeAnn::Named(ty) = parse_type(file, &mut f) {
+            named_fields.push((field, ty));
         }
         f.eat_punct(",");
     }
-    (Some(StructInfo { name, float_fields, named_fields }), close + 1)
-}
-
-// ---------------------------------------------------------------------
-// Crate assembly and path resolution
-// ---------------------------------------------------------------------
-
-/// One module of an assembled crate graph.
-#[derive(Debug, Clone)]
-pub struct Module {
-    /// Module name (empty for the crate root).
-    pub name: String,
-    /// Parent module index (`None` for the root).
-    pub parent: Option<usize>,
-    /// Visibility at the declaration site (`Pub` for the root).
-    pub vis: Visibility,
-    /// Full path from the crate root.
-    pub path: Vec<String>,
-    /// Index of the file providing this module's contents, into the
-    /// workspace file list.
-    pub file_idx: usize,
-    /// Items declared directly in the module.
-    pub items: Vec<Item>,
-    /// Use leaves declared in the module.
-    pub uses: Vec<UseDecl>,
-    /// Child module indices (inline and file modules).
-    pub children: Vec<usize>,
-    /// False for files present under `src/` that no `mod` declaration
-    /// attaches to the tree — an unreferenced (dead) file.
-    pub declared: bool,
-}
-
-/// What a path resolves to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Target {
-    /// A module of this crate.
-    Module(usize),
-    /// Item `item` of module `module` (indices into the graph).
-    Item { module: usize, item: usize },
-    /// The path leaves the crate (external crate or std).
-    External,
-    /// The path could not be resolved inside the crate.
-    Unknown,
-}
-
-/// The assembled module graph of one crate.
-#[derive(Debug, Clone)]
-pub struct CrateGraph {
-    /// Directory name under `crates/`.
-    pub name: String,
-    /// Modules; index 0 is the crate root.
-    pub modules: Vec<Module>,
-}
-
-/// Exact root-reachability of a crate's public items.
-#[derive(Debug, Clone)]
-pub struct ReachSet {
-    /// Per module: reachable as a public namespace from the root.
-    pub module_ns: Vec<bool>,
-    /// Per module, per item: reachable from the root.
-    pub items: Vec<Vec<bool>>,
-    /// Leaf names of `pub use` paths that could not be resolved
-    /// in-crate; reachability degrades to name-matching for these so
-    /// the rule never accuses code a macro or exotic path reaches.
-    pub unresolved_names: HashSet<String>,
-}
-
-impl CrateGraph {
-    /// Assembles one crate's module graph from its files.
-    /// `files` pairs each workspace file index with its layout-derived
-    /// module path (`lib.rs` → `[]`, `a/mod.rs` → `["a"]`, `a/b.rs` →
-    /// `["a","b"]`); `trees` holds each file's parsed scopes.
-    pub fn build(
-        name: &str,
-        files: &[(usize, Vec<String>)],
-        trees: &HashMap<usize, FileScopes>,
-    ) -> Option<CrateGraph> {
-        let root_file = files.iter().find(|(_, p)| p.is_empty())?.0;
-        let mut graph = CrateGraph { name: name.to_string(), modules: Vec::new() };
-        let mut attached: HashSet<usize> = HashSet::new();
-        graph.attach(
-            root_file,
-            0,
-            None,
-            Visibility::Pub,
-            Vec::new(),
-            true,
-            files,
-            trees,
-            &mut attached,
-        );
-        // Files never referenced by a `mod` declaration are dead; keep
-        // them in the graph (as undeclared private children of the
-        // root) so their `pub` items surface as unreachable.
-        let mut orphans: Vec<&(usize, Vec<String>)> =
-            files.iter().filter(|(fi, _)| !attached.contains(fi)).collect();
-        orphans.sort_by_key(|(fi, _)| *fi);
-        for (fi, layout) in orphans {
-            let path = layout.clone();
-            let name = path.last().cloned().unwrap_or_default();
-            graph.attach(
-                *fi,
-                0,
-                Some(0),
-                Visibility::Private,
-                path,
-                false,
-                files,
-                trees,
-                &mut attached,
-            );
-            if let Some(m) = graph.modules.iter_mut().rev().find(|m| m.file_idx == *fi) {
-                m.name = name.clone();
-            }
-        }
-        Some(graph)
-    }
-
-    /// Recursively attaches `scope_idx` of file `file_idx` as a module.
-    #[allow(clippy::too_many_arguments)]
-    fn attach(
-        &mut self,
-        file_idx: usize,
-        scope_idx: usize,
-        parent: Option<usize>,
-        vis: Visibility,
-        path: Vec<String>,
-        declared: bool,
-        files: &[(usize, Vec<String>)],
-        trees: &HashMap<usize, FileScopes>,
-        attached: &mut HashSet<usize>,
-    ) -> usize {
-        attached.insert(file_idx);
-        let idx = self.modules.len();
-        let scope = &trees[&file_idx].scopes[scope_idx];
-        self.modules.push(Module {
-            name: scope.name.clone(),
-            parent,
-            vis,
-            path: path.clone(),
-            file_idx,
-            items: scope.items.clone(),
-            uses: scope.uses.clone(),
-            children: Vec::new(),
-            declared,
-        });
-        let child_scopes: Vec<(usize, String, Visibility)> = scope
-            .children
-            .iter()
-            .map(|&c| {
-                let s = &trees[&file_idx].scopes[c];
-                (c, s.name.clone(), s.vis)
-            })
-            .collect();
-        let mod_decls = scope.mod_decls.clone();
-        for (c, name, cvis) in child_scopes {
-            let mut child_path = path.clone();
-            child_path.push(name);
-            let child =
-                self.attach(file_idx, c, Some(idx), cvis, child_path, true, files, trees, attached);
-            self.modules[idx].children.push(child);
-        }
-        for d in mod_decls {
-            let mut child_path = path.clone();
-            child_path.push(d.name.clone());
-            let Some(&(target_file, _)) =
-                files.iter().find(|(_, layout)| *layout == child_path)
-            else {
-                continue; // missing file; cargo would reject the tree
-            };
-            let child = self.attach(
-                target_file,
-                0,
-                Some(idx),
-                d.vis,
-                child_path,
-                true,
-                files,
-                trees,
-                attached,
-            );
-            self.modules[child].name = d.name;
-            self.modules[idx].children.push(child);
-        }
-        idx
-    }
-
-    /// The crate root module.
-    pub fn root(&self) -> &Module {
-        &self.modules[0]
-    }
-
-    /// The module with exactly this path, if present.
-    pub fn module(&self, path: &[String]) -> Option<&Module> {
-        self.modules.iter().find(|m| m.path == path)
-    }
-
-    /// Child of module `m` with this name.
-    fn child_named(&self, m: usize, name: &str) -> Option<usize> {
-        self.modules[m].children.iter().copied().find(|&c| self.modules[c].name == name)
-    }
-
-    /// Resolves `path` as written in module `from`. Tries the module's
-    /// own namespace first (2015-style relative paths), then the crate
-    /// root (2018 uniform paths); explicit `crate::`/`self::`/`super::`
-    /// prefixes are honored.
-    pub fn resolve(&self, from: usize, path: &[String]) -> Target {
-        if path.is_empty() {
-            return Target::Unknown;
-        }
-        match path[0].as_str() {
-            "crate" => return self.resolve_in(0, &path[1..], 0),
-            "self" => return self.resolve_in(from, &path[1..], 0),
-            "super" => {
-                let mut cur = from;
-                let mut rest = path;
-                while rest.first().map(String::as_str) == Some("super") {
-                    match self.modules[cur].parent {
-                        Some(p) => cur = p,
-                        None => return Target::Unknown,
-                    }
-                    rest = &rest[1..];
-                }
-                return self.resolve_in(cur, rest, 0);
-            }
-            _ => {}
-        }
-        match self.resolve_in(from, path, 0) {
-            Target::Unknown => match self.resolve_in(0, path, 0) {
-                // Neither relative nor root-anchored: the first
-                // segment names an external crate (or something we
-                // cannot see).
-                Target::Unknown => Target::External,
-                t => t,
-            },
-            t => t,
-        }
-    }
-
-    /// Resolves `segs` starting inside module `cur`'s namespace.
-    fn resolve_in(&self, mut cur: usize, segs: &[String], depth: usize) -> Target {
-        if depth > 32 {
-            return Target::Unknown; // re-export cycle
-        }
-        if segs.is_empty() {
-            return Target::Module(cur);
-        }
-        for (k, seg) in segs.iter().enumerate() {
-            let last = k + 1 == segs.len();
-            // Child module?
-            if let Some(c) = self.child_named(cur, seg) {
-                if last {
-                    return Target::Module(c);
-                }
-                cur = c;
-                continue;
-            }
-            // Item in the current module?
-            if last {
-                if let Some(ii) =
-                    self.modules[cur].items.iter().position(|it| it.name == *seg)
-                {
-                    return Target::Item { module: cur, item: ii };
-                }
-            }
-            // A use binding in the current module (re-export chain)?
-            let binding = self.modules[cur]
-                .uses
-                .iter()
-                .find(|u| u.binding() == Some(seg.as_str()))
-                .cloned();
-            if let Some(u) = binding {
-                match self.resolve(cur, &resolve_guard(&u.path, depth)) {
-                    Target::Module(m) => {
-                        if last {
-                            return Target::Module(m);
-                        }
-                        cur = m;
-                        continue;
-                    }
-                    Target::Item { module, item } => {
-                        return if last {
-                            Target::Item { module, item }
-                        } else {
-                            Target::Unknown
-                        };
-                    }
-                    Target::External => return Target::External,
-                    Target::Unknown => return Target::Unknown,
-                }
-            }
-            // Glob imports into the current module?
-            let globs: Vec<UseDecl> = self.modules[cur]
-                .uses
-                .iter()
-                .filter(|u| u.glob)
-                .cloned()
-                .collect();
-            for g in globs {
-                if let Target::Module(gm) = self.resolve(cur, &resolve_guard(&g.path, depth))
-                {
-                    let t = self.resolve_in(gm, &segs[k..], depth + 1);
-                    if t != Target::Unknown {
-                        return t;
-                    }
-                }
-            }
-            return Target::Unknown;
-        }
-        Target::Module(cur)
-    }
-
-    /// Exact root-reachability over the `pub` graph: reachable
-    /// namespaces, reachable items, and the leaf names of unresolvable
-    /// `pub use` paths (for the conservative fallback).
-    pub fn root_reachable(&self) -> ReachSet {
-        let mut reach = ReachSet {
-            module_ns: vec![false; self.modules.len()],
-            items: self.modules.iter().map(|m| vec![false; m.items.len()]).collect(),
-            unresolved_names: HashSet::new(),
-        };
-        let mut queue = vec![0usize];
-        reach.module_ns[0] = true;
-        while let Some(m) = queue.pop() {
-            for (ii, item) in self.modules[m].items.iter().enumerate() {
-                if item.vis.is_pub() {
-                    reach.items[m][ii] = true;
-                }
-            }
-            for &c in &self.modules[m].children {
-                if self.modules[c].vis.is_pub() && !reach.module_ns[c] {
-                    reach.module_ns[c] = true;
-                    queue.push(c);
-                }
-            }
-            for u in &self.modules[m].uses {
-                if !u.vis.is_pub() {
-                    continue;
-                }
-                match self.resolve(m, &u.path) {
-                    Target::Module(t) => {
-                        // `pub use m2` and `pub use m2::*` both expose
-                        // m2's public namespace from here.
-                        if !reach.module_ns[t] {
-                            reach.module_ns[t] = true;
-                            queue.push(t);
-                        }
-                    }
-                    Target::Item { module, item } => {
-                        reach.items[module][item] = true;
-                    }
-                    Target::External
-                        if matches!(
-                            u.path.first().map(String::as_str),
-                            Some("std" | "core" | "alloc")
-                        ) => {}
-                    // A first segment we cannot see could be another
-                    // workspace crate (harmless) or macro output
-                    // (must not be accused) — fall back either way.
-                    Target::External | Target::Unknown => {
-                        if let Some(name) = u.binding() {
-                            reach.unresolved_names.insert(name.to_string());
-                        } else {
-                            // An unresolved glob could cover anything
-                            // its path's last segment names.
-                            if let Some(seg) = u.path.last() {
-                                reach.unresolved_names.insert(seg.clone());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        reach
-    }
-}
-
-/// Caps re-export recursion by truncating paths once the budget runs
-/// out (cheap cycle guard; real trees never get near it).
-fn resolve_guard(path: &[String], depth: usize) -> Vec<String> {
-    if depth > 32 {
-        Vec::new()
-    } else {
-        path.to_vec()
-    }
+    (Some(StructInfo { name, named_fields }), close + 1)
 }
 
 #[cfg(test)]
@@ -1514,256 +579,6 @@ mod tests {
 
     fn file(path: &str, src: &str) -> SourceFile {
         SourceFile::new(path, src, FileKind::RustLibrary)
-    }
-
-    fn graph(specs: &[(&str, &[&str], &str)]) -> (Vec<SourceFile>, CrateGraph) {
-        // specs: (path, layout module path, source)
-        let files: Vec<SourceFile> =
-            specs.iter().map(|(p, _, s)| file(p, s)).collect();
-        let trees: HashMap<usize, FileScopes> =
-            files.iter().enumerate().map(|(i, f)| (i, parse_scopes(f))).collect();
-        let layout: Vec<(usize, Vec<String>)> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, (_, l, _))| (i, l.iter().map(|s| s.to_string()).collect()))
-            .collect();
-        let g = CrateGraph::build("x", &layout, &trees).expect("root present");
-        (files, g)
-    }
-
-    #[test]
-    fn scopes_capture_items_inline_modules_and_visibility() {
-        let f = file(
-            "crates/x/src/lib.rs",
-            "pub fn a() {}\n\
-             pub(crate) fn b() {}\n\
-             fn c() {}\n\
-             pub mod inner { pub struct S; mod deeper { pub const K: u8 = 0; } }\n\
-             mod filemod;\n\
-             pub use inner::S;\n",
-        );
-        let t = parse_scopes(&f);
-        assert_eq!(t.scopes.len(), 3, "file scope + two inline scopes");
-        let root = &t.scopes[0];
-        let names: Vec<(&str, Visibility)> =
-            root.items.iter().map(|i| (i.name.as_str(), i.vis)).collect();
-        assert_eq!(
-            names,
-            vec![
-                ("a", Visibility::Pub),
-                ("b", Visibility::Restricted),
-                ("c", Visibility::Private),
-            ]
-        );
-        assert_eq!(root.mod_decls, vec![ModDecl {
-            name: "filemod".into(),
-            vis: Visibility::Private,
-            line: 5,
-        }]);
-        assert_eq!(root.uses.len(), 1);
-        assert_eq!(root.uses[0].binding(), Some("S"));
-        let inner = &t.scopes[root.children[0]];
-        assert_eq!(inner.name, "inner");
-        assert!(inner.vis.is_pub());
-        assert_eq!(inner.items[0].name, "S");
-        let deeper = &t.scopes[inner.children[0]];
-        assert_eq!(deeper.name, "deeper");
-        assert_eq!(deeper.vis, Visibility::Private);
-        assert_eq!(deeper.items[0].name, "K");
-    }
-
-    #[test]
-    fn item_spans_cover_bodies_exactly() {
-        let f = file(
-            "crates/x/src/lib.rs",
-            "pub fn long() {\n    body();\n}\n\npub struct After;\n",
-        );
-        let t = parse_scopes(&f);
-        let items = &t.scopes[0].items;
-        assert_eq!((items[0].line, items[0].end_line), (1, 3));
-        assert_eq!((items[1].line, items[1].end_line), (5, 5));
-    }
-
-    #[test]
-    fn test_blocks_and_macro_items_are_handled() {
-        let f = file(
-            "crates/x/src/lib.rs",
-            "#[macro_export]\nmacro_rules! exported { () => {}; }\n\
-             macro_rules! private_m { () => {}; }\n\
-             #[cfg(test)]\nmod tests { pub fn helper() {} }\n",
-        );
-        let t = parse_scopes(&f);
-        let items = &t.scopes[0].items;
-        let kinds: Vec<(&str, &str, Visibility)> =
-            items.iter().map(|i| (i.kind, i.name.as_str(), i.vis)).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                ("macro", "exported", Visibility::Pub),
-                ("macro", "private_m", Visibility::Private),
-            ]
-        );
-        assert_eq!(t.scopes.len(), 1, "cfg(test) inline module is not modeled");
-    }
-
-    #[test]
-    fn graph_links_file_modules_and_marks_orphans() {
-        let (_, g) = graph(&[
-            ("crates/x/src/lib.rs", &[], "pub mod a;\nmod b;\n"),
-            ("crates/x/src/a.rs", &["a"], "pub fn fa() {}\n"),
-            ("crates/x/src/b.rs", &["b"], "pub fn fb() {}\n"),
-            ("crates/x/src/dead.rs", &["dead"], "pub fn gone() {}\n"),
-        ]);
-        let a = g.module(&["a".into()]).expect("a");
-        assert!(a.vis.is_pub());
-        assert!(a.declared);
-        let b = g.module(&["b".into()]).expect("b");
-        assert_eq!(b.vis, Visibility::Private);
-        let dead = g.module(&["dead".into()]).expect("dead");
-        assert!(!dead.declared, "unreferenced file is attached as undeclared");
-    }
-
-    #[test]
-    fn resolve_handles_relative_root_crate_self_and_super() {
-        let (_, g) = graph(&[
-            (
-                "crates/x/src/lib.rs",
-                &[],
-                "mod a;\nmod b;\npub use crate::a::A;\n",
-            ),
-            ("crates/x/src/a.rs", &["a"], "pub struct A;\nuse super::b::B;\n"),
-            ("crates/x/src/b.rs", &["b"], "pub struct B;\n"),
-        ]);
-        let root = 0;
-        let a_mod = g
-            .modules
-            .iter()
-            .position(|m| m.path == ["a".to_string()])
-            .expect("a idx");
-        // Root-anchored.
-        assert!(matches!(
-            g.resolve(root, &["a".into(), "A".into()]),
-            Target::Item { .. }
-        ));
-        // crate:: prefix.
-        assert!(matches!(
-            g.resolve(a_mod, &["crate".into(), "b".into(), "B".into()]),
-            Target::Item { .. }
-        ));
-        // super:: from a submodule.
-        assert!(matches!(
-            g.resolve(a_mod, &["super".into(), "b".into(), "B".into()]),
-            Target::Item { .. }
-        ));
-        // Unknown first segments are external.
-        assert_eq!(g.resolve(root, &["std".into(), "fmt".into()]), Target::External);
-    }
-
-    #[test]
-    fn root_reachability_follows_pub_chains_only() {
-        let (_, g) = graph(&[
-            (
-                "crates/x/src/lib.rs",
-                &[],
-                "pub mod open;\nmod hidden;\npub use hidden::Rescued;\n",
-            ),
-            ("crates/x/src/open.rs", &["open"], "pub fn shown() {}\nfn priv_fn() {}\n"),
-            (
-                "crates/x/src/hidden.rs",
-                &["hidden"],
-                "pub struct Rescued;\npub struct Lost;\n",
-            ),
-        ]);
-        let reach = g.root_reachable();
-        let find = |name: &str| {
-            g.modules
-                .iter()
-                .enumerate()
-                .find_map(|(mi, m)| {
-                    m.items
-                        .iter()
-                        .position(|i| i.name == name)
-                        .map(|ii| reach.items[mi][ii])
-                })
-                .expect("item present")
-        };
-        assert!(find("shown"), "pub item in pub module");
-        assert!(!find("priv_fn"), "private item never reachable");
-        assert!(find("Rescued"), "pub use rescues a single item");
-        assert!(!find("Lost"), "sibling in the private module stays dead");
-    }
-
-    #[test]
-    fn glob_reexports_expand_item_by_item() {
-        let (_, g) = graph(&[
-            ("crates/x/src/lib.rs", &[], "mod grp;\npub use grp::prelude::*;\n"),
-            (
-                "crates/x/src/grp.rs",
-                &["grp"],
-                "mod detail;\npub use detail as prelude;\n",
-            ),
-            (
-                "crates/x/src/grp/detail.rs",
-                &["grp", "detail"],
-                "pub fn via_glob() {}\nfn not_exported() {}\n",
-            ),
-        ]);
-        let reach = g.root_reachable();
-        let detail = g
-            .modules
-            .iter()
-            .position(|m| m.path == ["grp".to_string(), "detail".to_string()])
-            .expect("detail idx");
-        assert!(reach.module_ns[detail], "glob over an aliased module reaches it");
-        let via = g.modules[detail].items.iter().position(|i| i.name == "via_glob").unwrap();
-        assert!(reach.items[detail][via]);
-    }
-
-    #[test]
-    fn reexport_chains_across_modules_resolve() {
-        // lib -> mid (private) whose pub use pulls from leaf (private):
-        // only the chained name is reachable.
-        let (_, g) = graph(&[
-            ("crates/x/src/lib.rs", &[], "mod mid;\npub use mid::Deep;\n"),
-            ("crates/x/src/mid.rs", &["mid"], "mod leaf;\npub use leaf::Deep;\n"),
-            (
-                "crates/x/src/mid/leaf.rs",
-                &["mid", "leaf"],
-                "pub struct Deep;\npub struct Stranded;\n",
-            ),
-        ]);
-        let reach = g.root_reachable();
-        let leaf = g
-            .modules
-            .iter()
-            .position(|m| m.path == ["mid".to_string(), "leaf".to_string()])
-            .expect("leaf idx");
-        let deep = g.modules[leaf].items.iter().position(|i| i.name == "Deep").unwrap();
-        let stranded =
-            g.modules[leaf].items.iter().position(|i| i.name == "Stranded").unwrap();
-        assert!(reach.items[leaf][deep], "two-hop pub use chain reaches the item");
-        assert!(
-            !reach.items[leaf][stranded],
-            "the dead sibling of a chained re-export is caught"
-        );
-    }
-
-    #[test]
-    fn unresolved_pub_use_degrades_to_name_matching() {
-        let (_, g) = graph(&[(
-            "crates/x/src/lib.rs",
-            &[],
-            "pub use mystery_macro_output::Thing;\npub use std::fmt::Debug;\n",
-        )]);
-        let reach = g.root_reachable();
-        assert!(
-            reach.unresolved_names.contains("Thing"),
-            "external-looking leaf names are tracked for the conservative fallback"
-        );
-        assert!(
-            !reach.unresolved_names.contains("Debug"),
-            "std paths are known-external and need no fallback"
-        );
     }
 
     #[test]
@@ -1782,21 +597,25 @@ mod tests {
         assert_eq!(
             dist.params,
             vec![
-                Param { name: "a".into(), ty: TypeAnn::Float("f64") },
-                Param { name: "b".into(), ty: TypeAnn::Float("f64") },
+                Param { name: "a".into(), ty: TypeAnn::Named("f64".into()) },
+                Param { name: "b".into(), ty: TypeAnn::Named("f64".into()) },
                 Param { name: "n".into(), ty: TypeAnn::Named("usize".into()) },
             ]
         );
-        assert_eq!(dist.ret, TypeAnn::Float("f64"));
+        assert_eq!(dist.ret, TypeAnn::Named("f64".into()), "references strip to the pointee");
         assert!(dist.body.is_some());
         let helper = &facts.fns[1];
         assert_eq!(helper.ret, TypeAnn::Named("Vec".into()), "generics strip to the head");
         assert_eq!(facts.structs.len(), 2);
         assert_eq!(
-            facts.structs[0].float_fields,
-            vec![("value".to_string(), "f64"), ("weight".to_string(), "f32")]
+            facts.structs[0].named_fields,
+            vec![
+                ("value".to_string(), "f64".to_string()),
+                ("label".to_string(), "String".to_string()),
+                ("weight".to_string(), "f32".to_string()),
+            ]
         );
-        assert!(facts.structs[1].float_fields.is_empty());
+        assert!(facts.structs[1].named_fields.is_empty());
     }
 
     #[test]
@@ -1809,8 +628,8 @@ mod tests {
         let facts = parse_facts(&f);
         let names: Vec<&str> = facts.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["mean", "outer", "inner"], "source order, any depth");
-        assert_eq!(facts.fns[0].ret, TypeAnn::Float("f64"));
-        assert_eq!(facts.fns[2].params[0].ty, TypeAnn::Float("f32"));
+        assert_eq!(facts.fns[0].ret, TypeAnn::Named("f64".into()));
+        assert_eq!(facts.fns[2].params[0].ty, TypeAnn::Named("f32".into()));
     }
 
     #[test]

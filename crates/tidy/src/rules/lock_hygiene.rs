@@ -1,29 +1,21 @@
-//! Rule `lock-hygiene`: mutex/rwlock guards must be acquired with an
-//! explicit poisoning policy and must not stay live across blocking
-//! calls.
+//! Rule `lock-hygiene`: a mutex/rwlock guard must not stay live across
+//! a blocking call.
 //!
-//! Two findings, both about the same hazard class — a lock held in a
-//! state the author did not think about:
+//! A `let`-bound guard that is still live when the function sleeps,
+//! joins a thread, does socket I/O or blocks on a channel `recv`
+//! serializes every other thread behind an operation of unbounded
+//! latency — the deadlock shape the serve worker pool is designed
+//! around. Liveness runs as real dataflow over the function's
+//! [`crate::cfg`] control-flow graph (`resolution: cfg`): a guard counts
+//! as held at a blocking call only if some path actually carries it
+//! there. An early `return` between acquisition and the call, a move
+//! into another function, `drop(guard)`, a reassignment, or the end of
+//! the binding's scope all end liveness on that path.
 //!
-//! 1. **Unwrapped acquisition.** `.lock().unwrap()` (and
-//!    `.read()`/`.write()` on an `RwLock`) turns a poisoned lock into a
-//!    library panic: one worker's panic cascades through every other
-//!    thread that touches the mutex. Library code must either recover
-//!    (`.unwrap_or_else(|e| e.into_inner())`, the workspace's `lock()`
-//!    helper idiom) or acknowledge the poisoning policy explicitly with
-//!    `// tidy: allow(lock-hygiene)`. This finding is token-shaped
-//!    (`resolution: token`).
-//! 2. **Guard live across a blocking call.** A `let`-bound guard that
-//!    is still live when the function sleeps, joins a thread, does
-//!    socket I/O or blocks on a channel `recv` serializes every other
-//!    thread behind an operation of unbounded latency — the deadlock
-//!    shape the serve worker pool is designed around. Liveness runs as
-//!    real dataflow over the function's [`crate::cfg`] control-flow
-//!    graph (`resolution: cfg`): a guard counts as held at a blocking
-//!    call only if some path actually carries it there. An early
-//!    `return` between acquisition and the call, a move into another
-//!    function, `drop(guard)`, a reassignment, or the end of the
-//!    binding's scope all end liveness on that path.
+//! An unwrapped acquisition (`.lock().unwrap()`), which turns a
+//! poisoned lock into a library panic, is clippy's `unwrap_used` in the
+//! workspace lint table; the poison-recovering idiom
+//! `.unwrap_or_else(|e| e.into_inner())` passes both gates.
 //!
 //! `Condvar::wait` is deliberately **not** a blocking call here: it
 //! atomically releases the guard it consumes — holding a guard at a
@@ -107,24 +99,6 @@ pub(crate) fn is_guard_acquisition(file: &SourceFile, i: usize) -> bool {
     }
 }
 
-/// If the tokens right after `i` are `. unwrap (`, returns the index of
-/// the `unwrap` ident.
-fn unwrap_after(file: &SourceFile, i: usize) -> Option<usize> {
-    let tokens = file.tokens();
-    let mut sig = (i..tokens.len()).filter(|&k| !tokens[k].is_comment());
-    let dot = sig.next()?;
-    if !(tokens[dot].kind == TokenKind::Punct && file.text(&tokens[dot]) == ".") {
-        return None;
-    }
-    let unwrap = sig.next()?;
-    if !(tokens[unwrap].kind == TokenKind::Ident && file.text(&tokens[unwrap]) == "unwrap") {
-        return None;
-    }
-    let open = sig.next()?;
-    (tokens[open].kind == TokenKind::Punct && file.text(&tokens[open]) == "(")
-        .then_some(unwrap)
-}
-
 /// The index one past the matching `)` of the `(` at `open`.
 fn close_paren(file: &SourceFile, open: usize) -> usize {
     let tokens = file.tokens();
@@ -154,19 +128,15 @@ impl Lint for LockHygiene {
     }
 
     fn explain(&self) -> &'static str {
-        "Mutex/RwLock guards need an explicit poisoning policy and bounded \
-         hold times. `.lock().unwrap()` (or `.read()`/`.write()` unwrapped) \
-         turns one thread's panic into a process-wide cascade through the \
-         poisoned lock — recover with `.unwrap_or_else(|e| e.into_inner())` \
-         (the workspace `lock()` helper) or acknowledge the policy with \
-         `// tidy: allow(lock-hygiene)`. A let-bound guard still live at a \
-         call to `sleep`, `join`, `recv`, or socket I/O serializes all other \
-         threads behind unbounded latency; liveness is computed over the \
-         function's control-flow graph, so only paths that actually carry \
-         the guard to the call count — early returns, moves, `drop(guard)` \
-         and scope ends all release it. `Condvar::wait` is exempt — it \
-         releases the guard it consumes, so holding one there is the \
-         correct idiom."
+        "Mutex/RwLock guards need bounded hold times. A let-bound guard \
+         still live at a call to `sleep`, `join`, `recv`, or socket I/O \
+         serializes all other threads behind unbounded latency; liveness is \
+         computed over the function's control-flow graph, so only paths \
+         that actually carry the guard to the call count — early returns, \
+         moves, `drop(guard)` and scope ends all release it. \
+         `Condvar::wait` is exempt — it releases the guard it consumes, so \
+         holding one there is the correct idiom. (Unwrapping a lock is \
+         clippy's `unwrap_used`.)"
     }
 
     fn applies(&self, kind: FileKind) -> bool {
@@ -174,36 +144,6 @@ impl Lint for LockHygiene {
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Violation>) {
-        let tokens = file.tokens();
-        for i in 0..tokens.len() {
-            let t = &tokens[i];
-            if t.kind != TokenKind::Ident || file.in_test_block(t.line) {
-                continue;
-            }
-            // (1) Unwrapped acquisition: `.lock().unwrap()` and friends.
-            if is_guard_acquisition(file, i) {
-                let open = (i + 1..tokens.len())
-                    .find(|&k| !tokens[k].is_comment())
-                    .unwrap_or(i + 1);
-                let after_call = close_paren(file, open);
-                if unwrap_after(file, after_call).is_some() {
-                    let name = file.text(t);
-                    out.push(Violation {
-                        file: file.path.clone(),
-                        line: t.line,
-                        rule: self.name(),
-                        resolution: "token",
-                        message: format!(
-                            "`.{name}().unwrap()` panics on a poisoned lock, cascading \
-                             one thread's panic through every other; recover with \
-                             `.unwrap_or_else(|e| e.into_inner())` or acknowledge the \
-                             poisoning policy"
-                        ),
-                    });
-                }
-            }
-        }
-        // (2) Guards live across blocking calls: CFG dataflow per fn.
         for f in &resolve::parse_facts(file).fns {
             let Some(body) = f.body else { continue };
             if file.in_test_block(f.line) {
@@ -548,16 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn unwrapped_lock_acquisition_fires() {
-        let out = run("fn f(m: &Mutex<T>) { let g = m.lock().unwrap(); }\n");
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("poisoned lock"));
-        assert_eq!(out[0].resolution, "token");
-        assert_eq!(run("fn f(l: &RwLock<T>) { let g = l.read().unwrap(); }\n").len(), 1);
-        assert_eq!(run("fn f(l: &RwLock<T>) { let g = l.write().unwrap(); }\n").len(), 1);
-    }
-
-    #[test]
     fn poison_recovering_acquisition_passes() {
         let src = "fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {\n\
                    \x20   m.lock().unwrap_or_else(|e| e.into_inner())\n}\n";
@@ -582,7 +512,7 @@ fn f(s: &mut TcpStream, buf: &mut [u8]) {
         let src = "\
 #[cfg(test)]
 mod tests {
-    fn t(m: &Mutex<T>) { let g = m.lock().unwrap(); }
+    fn t(m: &Mutex<T>) { let g = lock(m); std::thread::sleep(D); g.push(1); }
 }
 ";
         assert!(run(src).is_empty());

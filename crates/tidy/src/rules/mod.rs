@@ -2,33 +2,28 @@
 //! per-file gate in the order findings should be investigated, and
 //! [`workspace`] the cross-file rules that need the symbol table.
 
-mod doc;
 mod error_impl;
-mod float_eq;
+mod facade;
 mod lock_hygiene;
 mod lock_order;
 mod manifest;
-mod panic;
-mod panic_path;
 mod prob_contract;
-mod pub_reexport;
 mod seed_discipline;
 mod suite_error;
 mod unused_allow;
 
-pub use doc::DocCoverage;
 pub use error_impl::ErrorImpl;
-pub use float_eq::FloatEq;
+pub use facade::FacadeCoverage;
 pub use lock_hygiene::LockHygiene;
 pub use lock_order::LockOrderCycle;
 pub use manifest::ManifestHygiene;
-pub use panic::PanicFreedom;
-pub use panic_path::PanicPath;
 pub use prob_contract::ProbContract;
-pub use pub_reexport::PubReexport;
 pub use seed_discipline::{SeedDiscipline, SeedDisciplineDrift, ENTROPY, PROPCHECK_SEEDED, SEEDED};
 pub use suite_error::SuiteError;
-pub use unused_allow::{unused_allow_pass, UNUSED_ALLOW_EXPLAIN, UNUSED_ALLOW_NAME};
+pub use unused_allow::{
+    expectation_ledger, module_wide_suppressions, unused_allow_pass, GATED_LINTS,
+    UNUSED_ALLOW_EXPLAIN, UNUSED_ALLOW_NAME,
+};
 
 use crate::lexer::TokenKind;
 use crate::{Lint, SourceFile, WorkspaceLint};
@@ -37,10 +32,8 @@ use crate::{Lint, SourceFile, WorkspaceLint};
 pub fn all() -> Vec<Box<dyn Lint>> {
     vec![
         Box::new(ManifestHygiene),
-        Box::new(PanicFreedom),
         Box::new(ProbContract),
         Box::new(ErrorImpl),
-        Box::new(DocCoverage),
         Box::new(SuiteError),
         Box::new(SeedDiscipline),
         Box::new(LockHygiene),
@@ -48,17 +41,9 @@ pub fn all() -> Vec<Box<dyn Lint>> {
 }
 
 /// The cross-file rules, run once over the whole workspace.
-/// `float-eq` moved here when its type flow grew cross-file (the called
-/// function's return type lives in another file); `lock-order-cycle`
-/// and `panic-path` propagate CFG facts through resolved call edges.
+/// `lock-order-cycle` propagates CFG facts through resolved call edges.
 pub fn workspace() -> Vec<Box<dyn WorkspaceLint>> {
-    vec![
-        Box::new(FloatEq),
-        Box::new(PubReexport),
-        Box::new(SeedDisciplineDrift),
-        Box::new(LockOrderCycle),
-        Box::new(PanicPath),
-    ]
+    vec![Box::new(FacadeCoverage), Box::new(SeedDisciplineDrift), Box::new(LockOrderCycle)]
 }
 
 /// Every rule name the gate knows, in report order. `allow(...)`
@@ -160,18 +145,14 @@ mod tests {
             names,
             vec![
                 "manifest",
-                "panic",
                 "prob-contract",
                 "error-impl",
-                "doc",
                 "suite-error",
                 "seed-discipline",
                 "lock-hygiene",
-                "float-eq",
-                "pub-reexport",
+                "facade",
                 "seed-discipline-drift",
                 "lock-order-cycle",
-                "panic-path",
                 "unused-allow",
             ]
         );

@@ -190,14 +190,12 @@ impl WorkspaceLint for SeedDisciplineDrift {
         let Some(prob) = ws.crate_named(RNG_CRATE) else {
             return; // fixture workspaces without the rng crate have nothing to guard
         };
-        let Some(module) = prob.module(&[RNG_MODULE.to_string()]) else {
-            let file_idx =
-                prob.root().map(|m| m.file_idx).unwrap_or_else(|| prob.modules()[0].file_idx);
+        let Some(module) = prob.module_file(&[RNG_MODULE]) else {
             out.push(Violation {
-                file: ws.files[file_idx].path.clone(),
+                file: ws.files[prob.root_file()].path.clone(),
                 line: 1,
                 rule: self.name(),
-                resolution: "module-graph",
+                resolution: "token",
                 message: format!(
                     "crate `{RNG_CRATE}` no longer has a `{RNG_MODULE}` module; the \
                      seed-discipline SEEDED/ENTROPY lists describe constructors \
@@ -206,7 +204,7 @@ impl WorkspaceLint for SeedDisciplineDrift {
             });
             return;
         };
-        let file = &ws.files[module.file_idx];
+        let file = &ws.files[module];
         let tokens = file.tokens();
         for (i, t) in tokens.iter().enumerate() {
             if t.kind != TokenKind::Ident
@@ -232,7 +230,7 @@ impl WorkspaceLint for SeedDisciplineDrift {
                 file: file.path.clone(),
                 line: name_tok.line,
                 rule: self.name(),
-                resolution: "module-graph",
+                resolution: "token",
                 message: format!(
                     "rng constructor `{name}` is covered by neither the SEEDED nor \
                      the ENTROPY list of the seed-discipline rule; hardcoded seeds \
@@ -245,14 +243,12 @@ impl WorkspaceLint for SeedDisciplineDrift {
         // through (replay via `with_seed`, `PROPCHECK_SEED` via
         // `seed_from_env`, schedule derivation via `case_seed`); every
         // seed-named function it defines must be a known entry point.
-        let Some(module) = prob.module(&[PROPCHECK_MODULE.to_string()]) else {
-            let file_idx =
-                prob.root().map(|m| m.file_idx).unwrap_or_else(|| prob.modules()[0].file_idx);
+        let Some(module) = prob.module_file(&[PROPCHECK_MODULE]) else {
             out.push(Violation {
-                file: ws.files[file_idx].path.clone(),
+                file: ws.files[prob.root_file()].path.clone(),
                 line: 1,
                 rule: self.name(),
-                resolution: "module-graph",
+                resolution: "token",
                 message: format!(
                     "crate `{RNG_CRATE}` no longer has a `{PROPCHECK_MODULE}` module; \
                      the seed-discipline PROPCHECK_SEEDED list describes entry \
@@ -261,7 +257,7 @@ impl WorkspaceLint for SeedDisciplineDrift {
             });
             return;
         };
-        let file = &ws.files[module.file_idx];
+        let file = &ws.files[module];
         let tokens = file.tokens();
         for (i, t) in tokens.iter().enumerate() {
             if t.kind != TokenKind::Ident
@@ -284,7 +280,7 @@ impl WorkspaceLint for SeedDisciplineDrift {
                 file: file.path.clone(),
                 line: name_tok.line,
                 rule: self.name(),
-                resolution: "module-graph",
+                resolution: "token",
                 message: format!(
                     "propcheck defines seed-named `{name}` which the \
                      PROPCHECK_SEEDED list of the seed-discipline rule does not \

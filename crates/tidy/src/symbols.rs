@@ -1,57 +1,40 @@
-//! Workspace-level symbol table, built on the [`crate::resolve`]
-//! semantic layer: one assembled module graph per crate, its exact
-//! root-reachability set, and a per-file function/struct signature
-//! index.
+//! Workspace-level view for the cross-file rules: every crate's library
+//! files laid out by module path, and a per-file function/struct
+//! signature index.
 //!
 //! Per-file rules can only see one file; this pass is what lets the
-//! gate reason *across* files — most importantly, whether a `pub` item
-//! buried in a privately-declared module is actually reachable from its
-//! crate root (and therefore from the `sysunc::` facade), or is dead
-//! public API whose existence callers can never observe.
-//!
-//! Earlier revisions answered that question with a deliberately
-//! over-approximate name table ("is this name re-exported *anywhere*?").
-//! The table is now exact: [`crate::resolve::CrateGraph`] links every
-//! `mod` declaration to its file, resolves `use` paths (globs, aliases,
-//! `crate::`/`super::` prefixes, re-export chains) against the real
-//! tree, and [`crate::resolve::CrateGraph::root_reachable`] walks the
-//! `pub` edges from the root. Where resolution still fails (a path
-//! through a macro or an external crate), reachability degrades to
-//! name-matching for that path only — a lint must not accuse reachable
-//! code.
+//! gate reason *across* files — the call graph behind
+//! `lock-order-cycle`, the rng module the `seed-discipline-drift`
+//! guard reads, the facade the `facade` rule inspects. Module paths
+//! come from the file layout (`src/a/b.rs` is `a::b`), which is what
+//! cargo's own module lookup follows for `mod` declarations.
 
 use std::collections::HashMap;
 use std::path::Component;
 
-use crate::resolve::{self, CrateGraph, FileFacts, Module, ReachSet};
+use crate::resolve::{self, FileFacts};
 use crate::{FileKind, SourceFile};
 
-/// The symbol table of one crate under `crates/`: its module graph and
-/// the precomputed root-reachability of every item.
+/// The library files of one crate under `crates/`.
 #[derive(Debug, Clone)]
-pub struct CrateSymbols {
+pub struct CrateFiles {
     /// Directory name under `crates/`.
     pub name: String,
-    /// The assembled module graph (index 0 is the crate root).
-    pub graph: CrateGraph,
-    /// Exact root-reachability over the graph's `pub` edges.
-    pub reach: ReachSet,
+    /// `(file index, module path)` per library file, in file order
+    /// (`lib.rs` → `[]`, `a/mod.rs` → `["a"]`, `a/b.rs` → `["a","b"]`).
+    pub modules: Vec<(usize, Vec<String>)>,
 }
 
-impl CrateSymbols {
-    /// The crate-root module (`lib.rs`), if present.
-    pub fn root(&self) -> Option<&Module> {
-        self.graph.modules.first()
+impl CrateFiles {
+    /// Index of the file providing the module at exactly this path.
+    pub fn module_file(&self, path: &[&str]) -> Option<usize> {
+        self.modules.iter().find(|(_, p)| p.iter().eq(path)).map(|(fi, _)| *fi)
     }
 
-    /// The module with exactly this path, if present.
-    pub fn module(&self, path: &[String]) -> Option<&Module> {
-        self.graph.module(path)
-    }
-
-    /// All modules of the crate.
-    pub fn modules(&self) -> &[Module] {
-        &self.graph.modules
+    /// Index of the crate-root file (`lib.rs`), or of the crate's first
+    /// library file when it has no root.
+    pub fn root_file(&self) -> usize {
+        self.module_file(&[]).unwrap_or(self.modules[0].0)
     }
 }
 
@@ -60,8 +43,8 @@ impl CrateSymbols {
 pub struct Workspace<'a> {
     /// All scanned files, in report order.
     pub files: &'a [SourceFile],
-    /// Symbol tables for every crate under `crates/`.
-    pub crates: Vec<CrateSymbols>,
+    /// Library files of every crate under `crates/`.
+    pub crates: Vec<CrateFiles>,
     /// Function/struct signature index per Rust library file, keyed by
     /// index into [`Workspace::files`] (covers files outside `crates/`
     /// too, e.g. the facade's `src/lib.rs`).
@@ -69,39 +52,28 @@ pub struct Workspace<'a> {
 }
 
 impl<'a> Workspace<'a> {
-    /// Builds the symbol table for all `crates/*/src` library files and
-    /// the signature index for every Rust library file.
+    /// Groups the `crates/*/src` library files by crate and indexes the
+    /// signatures of every Rust library file.
     pub fn build(files: &'a [SourceFile]) -> Self {
-        // Per-file parses, shared by graph assembly and the facts index.
-        let mut trees = HashMap::new();
         let mut facts = HashMap::new();
-        // crate name -> [(file index, layout module path)]
-        let mut layouts: Vec<(String, Vec<(usize, Vec<String>)>)> = Vec::new();
+        let mut crates: Vec<CrateFiles> = Vec::new();
         for (file_idx, file) in files.iter().enumerate() {
             if file.kind != FileKind::RustLibrary {
                 continue;
             }
             facts.insert(file_idx, resolve::parse_facts(file));
             let Some((crate_name, module_path)) = crate_and_module(file) else { continue };
-            trees.insert(file_idx, resolve::parse_scopes(file));
-            match layouts.iter_mut().find(|(n, _)| *n == crate_name) {
-                Some((_, fs)) => fs.push((file_idx, module_path)),
-                None => layouts.push((crate_name, vec![(file_idx, module_path)])),
+            match crates.iter_mut().find(|c| c.name == crate_name) {
+                Some(c) => c.modules.push((file_idx, module_path)),
+                None => crates
+                    .push(CrateFiles { name: crate_name, modules: vec![(file_idx, module_path)] }),
             }
         }
-        let crates = layouts
-            .iter()
-            .filter_map(|(name, fs)| {
-                let graph = CrateGraph::build(name, fs, &trees)?;
-                let reach = graph.root_reachable();
-                Some(CrateSymbols { name: name.clone(), graph, reach })
-            })
-            .collect();
         Workspace { files, crates, facts }
     }
 
     /// The crate with this directory name, if present.
-    pub fn crate_named(&self, name: &str) -> Option<&CrateSymbols> {
+    pub fn crate_named(&self, name: &str) -> Option<&CrateFiles> {
         self.crates.iter().find(|c| c.name == name)
     }
 }
@@ -140,7 +112,6 @@ pub fn crate_and_module(file: &SourceFile) -> Option<(String, Vec<String>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolve::Visibility;
     use crate::FileKind;
 
     fn ws_files(specs: &[(&str, &str)]) -> Vec<SourceFile> {
@@ -161,32 +132,12 @@ mod tests {
         ]);
         let ws = Workspace::build(&files);
         let x = ws.crate_named("x").expect("crate x");
-        assert_eq!(x.modules().len(), 5);
-        assert_eq!(x.module(&["a".into()]).expect("a").items[0].name, "f");
-        assert_eq!(x.module(&["c".into()]).expect("c").items[0].name, "S");
-        assert_eq!(
-            x.module(&["c".into(), "d".into()]).expect("c::d").items[0].name,
-            "E"
-        );
-        assert!(x.module(&["a".into()]).expect("a").vis.is_pub());
-        assert_eq!(x.module(&["b".into()]).expect("b").vis, Visibility::Private);
-    }
-
-    #[test]
-    fn reachability_is_precomputed_per_crate() {
-        let files = ws_files(&[
-            ("crates/x/src/lib.rs", "pub mod open;\nmod hidden;\n"),
-            ("crates/x/src/open.rs", "pub fn shown() {}\n"),
-            ("crates/x/src/hidden.rs", "pub fn lost() {}\n"),
-        ]);
-        let ws = Workspace::build(&files);
-        let x = ws.crate_named("x").expect("x");
-        let open =
-            x.graph.modules.iter().position(|m| m.path == ["open".to_string()]).unwrap();
-        let hidden =
-            x.graph.modules.iter().position(|m| m.path == ["hidden".to_string()]).unwrap();
-        assert!(x.reach.items[open][0], "pub fn in pub module is reachable");
-        assert!(!x.reach.items[hidden][0], "pub fn in private module is not");
+        assert_eq!(x.modules.len(), 5);
+        assert_eq!(x.root_file(), 0);
+        assert_eq!(x.module_file(&["a"]), Some(1));
+        assert_eq!(x.module_file(&["c"]), Some(3), "mod.rs provides its directory's module");
+        assert_eq!(x.module_file(&["c", "d"]), Some(4));
+        assert_eq!(x.module_file(&["missing"]), None);
     }
 
     #[test]

@@ -643,3 +643,67 @@ fn cache_responses_bit_identical_for_arbitrary_requests() {
     );
     server.shutdown();
 }
+
+/// A request whose input count does not match its model is refused
+/// while decoding, with `400`: otherwise a 3-input model sent 2 inputs
+/// indexes past its slice (a worker panic, answered `500`), and a
+/// 2-input model sent 1 input reads the missing one as 0 (a confident
+/// `200` for a different problem).
+#[test]
+fn wrong_arity_requests_answer_400_without_reaching_a_worker() {
+    let server = Server::start(
+        ServerConfig::default(),
+        ModelRegistry::standard().expect("registry builds"),
+    )
+    .expect("server starts");
+    let mut client = HttpClient::connect(server.addr()).expect("connects");
+    let wrong = [
+        ("orbital-period", standard_inputs()),
+        ("missed-hazard", vec![UncertainInput::Uniform { a: 0.1, b: 0.4 }]),
+    ];
+    for engine in ["monte-carlo", "pce-spectral", "evidential"] {
+        for (model, inputs) in &wrong {
+            let mut wire = WireRequest::new(engine, *model, inputs.clone());
+            wire.budget = 256;
+            let response = client
+                .request("POST", "/v1/propagate", Some(&json::to_string(&wire)))
+                .expect("response arrives");
+            assert_eq!(response.status, 400, "{engine}/{model}: {}", response.body_text());
+            assert!(
+                response.body_text().contains(&format!("model '{model}' takes")),
+                "the error names the model's input count: {}",
+                response.body_text()
+            );
+        }
+    }
+
+    // In a batch the offending job is named by index.
+    let good = WireRequest::new("monte-carlo", "sum", standard_inputs());
+    let bad = WireRequest::new("monte-carlo", "orbital-period", standard_inputs());
+    let body =
+        format!("{{\"jobs\":[{},{}]}}", json::to_string(&good), json::to_string(&bad));
+    let batch = client
+        .request("POST", "/v1/propagate/batch", Some(&body))
+        .expect("response arrives");
+    assert_eq!(batch.status, 400, "body: {}", batch.body_text());
+    assert!(batch.body_text().contains("job 1: "), "body: {}", batch.body_text());
+
+    // No request reached a model, so no worker panicked.
+    let health = client.get("/healthz").expect("healthz answers");
+    let doc = json::parse(&health.body_text()).expect("healthz JSON");
+    assert_eq!(doc.get("worker_panics").and_then(Json::as_u64), Some(0));
+
+    // The right input count still propagates.
+    let mut wire = WireRequest::new(
+        "monte-carlo",
+        "orbital-period",
+        vec![
+            UncertainInput::Uniform { a: 0.9, b: 1.1 },
+            UncertainInput::Uniform { a: 0.9, b: 1.1 },
+            UncertainInput::Uniform { a: 4.0, b: 6.0 },
+        ],
+    );
+    wire.budget = 256;
+    assert!(client.propagate(&wire).is_ok(), "a 3-input orbital request propagates");
+    server.shutdown();
+}
