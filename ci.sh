@@ -46,6 +46,11 @@ cargo clippy --quiet --offline --manifest-path perfbench/Cargo.toml \
   -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic \
   -D clippy::todo -D clippy::unimplemented -D clippy::float_cmp
 
+echo "== perfbench unit tests (release) =="
+# The benchmark's own tests: metric grammar, result line, agreement
+# with BENCHMARK.json, request generators.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== build (release) =="
 cargo build --release --offline
 
@@ -98,9 +103,11 @@ cargo run -q --release --offline -p sysunc-bench --bin loadgen -- \
 
 echo "== serve trend tripwire =="
 # Folds both suites into BENCH_serve_trend.json and fails on a >20%
-# per-mode throughput drop against the committed baseline, on
-# cache-hot throughput below 5x cold (the cache must earn its keep),
-# on any failed fleet request (crash tolerance must be total), or on
+# per-mode throughput drop against the committed baseline, on a
+# cache-hot run that missed the cache more than clients x hot seeds
+# times (counted from the server's X-Sysunc-Cache verdicts) or whose
+# p50 is not below cold's, on any failed fleet request (crash
+# tolerance must be total), or on
 # fleet-cache-hot throughput below the hardware-aware bar (1.7x
 # single-process on >=4 cores, an overhead floor when time-sliced).
 # The baseline stays single-process; on a machine without one the

@@ -16,7 +16,9 @@
 //!   `POST /v1/propagate/batch`, amortising round-trips.
 //!
 //! The seed spaces of the three modes are disjoint, so runs sharing a
-//! server never contaminate each other's cache behaviour.
+//! server never contaminate each other's cache behaviour. Every run
+//! counts the jobs the server reports as cache hits
+//! (`X-Sysunc-Cache`), which is what the serve trend gate checks.
 
 use std::net::SocketAddr;
 use std::sync::mpsc;
@@ -190,6 +192,9 @@ pub struct LoadgenResult {
     pub requests: u64,
     /// Jobs answered `200` with a decodable report.
     pub ok: u64,
+    /// Answered jobs the server served from its response cache
+    /// (`X-Sysunc-Cache: hit`, or the batch header's `hits=H`).
+    pub cache_hits: u64,
     /// Everything else (transport errors, non-200 statuses).
     pub failed: u64,
     /// Wall-clock span of the whole run.
@@ -247,8 +252,10 @@ impl LoadgenResult {
         // fleet speedups against the hardware they actually ran on.
         w.key("cores").u64(available_cores() as u64);
         w.key("batch_size").u64(config.jobs_per_call() as u64);
+        w.key("hot_seeds").u64(config.hot_seeds);
         w.key("requests").u64(self.requests);
         w.key("ok").u64(self.ok);
+        w.key("cache_hits").u64(self.cache_hits);
         w.key("failed").u64(self.failed);
         w.key("elapsed_micros")
             .u64(self.elapsed.as_micros().min(u128::from(u64::MAX)) as u64);
@@ -303,13 +310,14 @@ pub fn available_cores() -> usize {
 /// Returns [`ServeError`] when no client could even connect; partial
 /// per-request failures are counted in the result instead.
 pub fn run(addr: SocketAddr, config: &LoadgenConfig) -> Result<LoadgenResult, ServeError> {
-    let (tx, rx) = mpsc::channel::<(u64, u64, Vec<u64>)>();
+    let (tx, rx) = mpsc::channel::<(u64, u64, u64, Vec<u64>)>();
     let started = Instant::now();
     std::thread::scope(|scope| {
         for client in 0..config.clients.max(1) {
             let tx = tx.clone();
             scope.spawn(move || {
                 let mut ok = 0u64;
+                let mut hits = 0u64;
                 let mut failed = 0u64;
                 let mut latencies = Vec::with_capacity(config.requests_per_client);
                 let mut conn = HttpClient::connect(addr);
@@ -319,19 +327,24 @@ pub fn run(addr: SocketAddr, config: &LoadgenConfig) -> Result<LoadgenResult, Se
                         continue;
                     };
                     let t0 = Instant::now();
+                    // (jobs answered, of which cache hits)
                     let answered = match config.mode {
                         LoadMode::Batch => {
                             let jobs = config.batch_jobs(client, call);
-                            c.propagate_batch(&jobs).map(|o| o.reports.len() as u64)
+                            c.propagate_batch(&jobs)
+                                .map(|o| (o.reports.len() as u64, o.cache_hits))
                         }
                         LoadMode::Cold | LoadMode::CacheHot => {
                             let wire = config.request(client, call);
-                            c.propagate(&wire).map(|_| 1)
+                            c.propagate_traced(&wire).map(|(_, verdict)| {
+                                (1, u64::from(verdict.as_deref() == Some("hit")))
+                            })
                         }
                     };
                     match answered {
-                        Ok(n) => {
+                        Ok((n, h)) => {
                             ok += n;
+                            hits += h;
                             latencies.push(
                                 t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
                             );
@@ -343,7 +356,7 @@ pub fn run(addr: SocketAddr, config: &LoadgenConfig) -> Result<LoadgenResult, Se
                         }
                     }
                 }
-                let _ = tx.send((ok, failed, latencies));
+                let _ = tx.send((ok, hits, failed, latencies));
             });
         }
     });
@@ -353,12 +366,14 @@ pub fn run(addr: SocketAddr, config: &LoadgenConfig) -> Result<LoadgenResult, Se
             * config.requests_per_client
             * config.jobs_per_call()) as u64,
         ok: 0,
+        cache_hits: 0,
         failed: 0,
         elapsed: Duration::ZERO,
         latencies_micros: Vec::new(),
     };
-    for (ok, failed, latencies) in rx {
+    for (ok, hits, failed, latencies) in rx {
         result.ok += ok;
+        result.cache_hits += hits;
         result.failed += failed;
         result.latencies_micros.extend(latencies);
     }
@@ -379,6 +394,7 @@ mod tests {
         let r = LoadgenResult {
             requests: 4,
             ok: 4,
+            cache_hits: 0,
             failed: 0,
             elapsed: Duration::from_secs(2),
             latencies_micros: vec![10, 20, 30, 40],
@@ -394,6 +410,7 @@ mod tests {
         let r = LoadgenResult {
             requests: 0,
             ok: 0,
+            cache_hits: 0,
             failed: 0,
             elapsed: Duration::ZERO,
             latencies_micros: vec![],
@@ -410,6 +427,7 @@ mod tests {
         let r = LoadgenResult {
             requests: 3,
             ok: 2,
+            cache_hits: 1,
             failed: 1,
             elapsed: Duration::from_millis(10),
             latencies_micros: vec![100, 300],
@@ -417,6 +435,8 @@ mod tests {
         let text = r.to_json(&LoadgenConfig::default()).expect("renders");
         let v = sysunc::prob::json::parse(&text).expect("parses");
         assert_eq!(v.get("ok").and_then(|j| j.as_u64()), Some(2));
+        assert_eq!(v.get("cache_hits").and_then(|j| j.as_u64()), Some(1));
+        assert_eq!(v.get("hot_seeds").and_then(|j| j.as_u64()), Some(4));
         assert_eq!(
             v.get("mode").and_then(|j| j.as_str().map(str::to_string)),
             Some("cold".into())
@@ -499,6 +519,7 @@ mod tests {
         let r = LoadgenResult {
             requests: 1,
             ok: 1,
+            cache_hits: 0,
             failed: 0,
             elapsed: Duration::from_millis(1),
             latencies_micros: vec![5],
@@ -525,6 +546,7 @@ mod tests {
         let result = LoadgenResult {
             requests: 1,
             ok: 1,
+            cache_hits: 0,
             failed: 0,
             elapsed: Duration::from_millis(5),
             latencies_micros: vec![42],

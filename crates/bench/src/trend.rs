@@ -14,8 +14,9 @@
 //!   tripwire a rising line trips.
 //! - **Serving throughput** — a `sysunc-bench-serve/2` loadgen suite
 //!   folds into a per-mode record (`sysunc-bench-serve-trend/1`), and
-//!   [`throughput_regressions`] / [`cache_speedup_shortfall`] are the
-//!   CI tripwire comparing a run against a committed baseline.
+//!   [`throughput_regressions`] is the CI tripwire comparing a run
+//!   against a committed baseline, and [`cache_speedup_shortfall`]
+//!   checks the cache from the run's own hit counts.
 //! - **Engine throughput** — a `sysunc-bench-engine/1` document (the
 //!   `engine_bench` binary: samples/sec per engine × model, chunked vs
 //!   scalar) folds into a `sysunc-bench-engine-trend/1` record;
@@ -185,6 +186,14 @@ pub struct ModeSummary {
     pub ok: u64,
     /// Jobs that failed.
     pub failed: u64,
+    /// Answered jobs the server served from its response cache (`0`
+    /// for documents predating the field).
+    pub cache_hits: u64,
+    /// Concurrent clients that drove the mode.
+    pub clients: u64,
+    /// Distinct seeds the cache-hot mode cycled through (`0` for
+    /// documents predating the field).
+    pub hot_seeds: u64,
     /// Usable cores on the host the run measured (`0` for documents
     /// predating the field) — fleet speedup gates are judged against
     /// the hardware the numbers came from.
@@ -230,6 +239,9 @@ pub fn serve_mode_summaries(suite: &Json) -> Result<Vec<ModeSummary>, JsonError>
             p99_micros: micros("p99")?,
             ok: member("ok")?.as_u64().unwrap_or(0),
             failed: member("failed")?.as_u64().unwrap_or(0),
+            cache_hits: doc.get("cache_hits").and_then(Json::as_u64).unwrap_or(0),
+            clients: doc.get("clients").and_then(Json::as_u64).unwrap_or(0),
+            hot_seeds: doc.get("hot_seeds").and_then(Json::as_u64).unwrap_or(0),
             cores: doc.get("cores").and_then(Json::as_u64).unwrap_or(0),
         });
     }
@@ -291,6 +303,7 @@ pub fn serve_trend_record(suite: &Json) -> Result<String, JsonError> {
         w.key("p99_micros").u64(s.p99_micros);
         w.key("ok").u64(s.ok);
         w.key("failed").u64(s.failed);
+        w.key("cache_hits").u64(s.cache_hits);
         w.end_object();
     }
     w.end_object();
@@ -329,19 +342,30 @@ pub fn throughput_regressions(
     findings
 }
 
-/// Checks the cache's value proposition: cache-hot throughput must be
-/// at least `min_ratio` times cold throughput. `None` when satisfied
-/// or when the run lacks either mode.
-pub fn cache_speedup_shortfall(current: &[ModeSummary], min_ratio: f64) -> Option<String> {
+/// Checks that the response cache works, from the server's own
+/// `X-Sysunc-Cache` verdicts: the cache-hot mode may miss at most
+/// `clients × hot_seeds` jobs (each client misses each hot key at most
+/// once, before the first answer for it is cached), and its median
+/// latency must beat cold's. A throughput ratio is not used: it tracks
+/// engine cost, not the cache. `None` when satisfied or when the run
+/// lacks either mode.
+pub fn cache_speedup_shortfall(current: &[ModeSummary]) -> Option<String> {
     let cold = current.iter().find(|s| s.mode == "cold")?;
     let hot = current.iter().find(|s| s.mode == "cache-hot")?;
-    if cold.throughput_rps > 0.0 && hot.throughput_rps < cold.throughput_rps * min_ratio {
+    let misses = hot.ok.saturating_sub(hot.cache_hits);
+    let allowed = hot.clients.saturating_mul(hot.hot_seeds);
+    if misses > allowed {
         return Some(format!(
-            "cache-hot throughput {:.1} jobs/s is only {:.1}x cold ({:.1} jobs/s); \
-             expected at least {min_ratio:.1}x",
-            hot.throughput_rps,
-            hot.throughput_rps / cold.throughput_rps,
-            cold.throughput_rps
+            "cache-hot missed the cache on {misses} of {} jobs; at most {allowed} \
+             ({} clients x {} hot seeds) may miss before every hot key is cached",
+            hot.ok, hot.clients, hot.hot_seeds
+        ));
+    }
+    if hot.p50_micros >= cold.p50_micros {
+        return Some(format!(
+            "cache-hot p50 {} us is not below cold p50 {} us; cache hits must \
+             answer faster than fresh runs",
+            hot.p50_micros, cold.p50_micros
         ));
     }
     None
@@ -857,14 +881,45 @@ mod tests {
         assert!(findings[0].contains("1.50x"), "{findings:?}");
     }
 
+    /// A cold + cache-hot suite: 8 clients, 4 hot seeds, 400 jobs per
+    /// mode; cold p50 is 1000 us.
+    fn cache_suite(hot_hits: u64, hot_p50: u64) -> Vec<ModeSummary> {
+        let doc = |hits: u64, p50: u64| {
+            format!(
+                r#"{{"schema":"sysunc-bench-serve/1","ok":400,"failed":0,
+                    "cache_hits":{hits},"clients":8,"hot_seeds":4,
+                    "throughput_rps":100.0,
+                    "latency_micros":{{"p50":{p50},"p99":4000}}}}"#
+            )
+        };
+        let suite = parse(&format!(
+            r#"{{"schema":"sysunc-bench-serve/2","modes":{{
+                "cold":{cold},"cache-hot":{hot}}}}}"#,
+            cold = doc(0, 1000),
+            hot = doc(hot_hits, hot_p50)
+        ))
+        .expect("suite parses");
+        serve_mode_summaries(&suite).expect("folds")
+    }
+
     #[test]
     fn cache_speedup_shortfall_enforces_the_hit_ratio() {
-        let fast = serve_mode_summaries(&serve_suite(50.0, 500.0)).expect("folds");
-        assert_eq!(cache_speedup_shortfall(&fast, 5.0), None);
-        let slow = serve_mode_summaries(&serve_suite(50.0, 100.0)).expect("folds");
-        let msg = cache_speedup_shortfall(&slow, 5.0).expect("shortfall");
-        assert!(msg.contains("cache-hot"), "{msg}");
+        // 32 misses (8 clients x 4 hot seeds) is the most a working
+        // cache allows; the throughput ratio plays no part.
+        assert_eq!(cache_speedup_shortfall(&cache_suite(368, 200)), None);
+        assert_eq!(cache_speedup_shortfall(&cache_suite(400, 200)), None);
+        let msg = cache_speedup_shortfall(&cache_suite(367, 200)).expect("shortfall");
+        assert!(msg.contains("33 of 400"), "{msg}");
+        // A run the cache never answered fails, however fast it was.
+        let msg = cache_speedup_shortfall(&cache_suite(0, 200)).expect("shortfall");
+        assert!(msg.contains("400 of 400"), "{msg}");
+        // Hits that answer no faster than fresh runs fail too.
+        let msg = cache_speedup_shortfall(&cache_suite(400, 1000)).expect("shortfall");
+        assert!(msg.contains("p50"), "{msg}");
+        // A document predating hit accounting reads as zero hits.
+        let legacy = serve_mode_summaries(&serve_suite(50.0, 500.0)).expect("folds");
+        assert!(cache_speedup_shortfall(&legacy).is_some());
         // A run without both modes cannot be judged.
-        assert_eq!(cache_speedup_shortfall(&slow[..1], 5.0), None);
+        assert_eq!(cache_speedup_shortfall(&cache_suite(0, 200)[..1]), None);
     }
 }

@@ -273,9 +273,15 @@ pub(crate) mod testutil {
 
     /// Checks that `quantile_fill` is bit-identical to elementwise
     /// `quantile` calls (the chunked-kernel determinism contract) and
-    /// that `sample_fill` matches `sample_n` under the same seed.
+    /// that `sample_fill` matches `sample_n` under the same seed. The
+    /// far tails (below `e⁻²⁵ ≈ 1.4e-11`, the inverse normal's last
+    /// branch) and the served clamp ends `1e-15`, `1 − 1e-15` ride along
+    /// with the uniform grid, which never reaches them.
     pub(crate) fn check_fills_match_scalar<D: Continuous>(d: &D, seed: u64) {
-        let ps: Vec<f64> = (0..257).map(|i| (i as f64 + 0.5) / 257.0).collect();
+        let ps: Vec<f64> = (0..257)
+            .map(|i| (i as f64 + 0.5) / 257.0)
+            .chain([1e-15, 1e-12, 1.0 - 1e-12, 1.0 - 1e-15])
+            .collect();
         let mut out = vec![0.0; ps.len()];
         d.quantile_fill(&ps, &mut out);
         for (&p, &y) in ps.iter().zip(&out) {

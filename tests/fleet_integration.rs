@@ -5,14 +5,18 @@
 //! single-process server.
 //!
 //! These tests spawn real `sysunc-serve` child processes, so they need
-//! the serve binary on disk. It is discovered via `SYSUNC_SERVE_BIN`
-//! or the build tree (`target/{release,debug}/sysunc-serve` — tier-1's
-//! `cargo build --release` provides it); when absent the tests skip
+//! the serve binary on disk. `cargo test` does not build another
+//! package's binaries, so the tests first run `cargo build -p
+//! sysunc-serve` in their own profile: a shard binary left over from
+//! older sources would answer with older bits than the in-process
+//! server it is compared against. The binary is then discovered via
+//! `SYSUNC_SERVE_BIN` or the build tree
+//! (`target/{release,debug}/sysunc-serve`); when absent the tests skip
 //! loudly instead of failing, so a bare `cargo test` on a fresh
 //! checkout stays green.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 use sysunc::prob::json;
@@ -20,8 +24,24 @@ use sysunc::{ModelRegistry, UncertainInput, WireRequest};
 use sysunc_fleet::{locate_serve_bin, Fleet, FleetConfig};
 use sysunc_serve::{HttpClient, RetryPolicy, Server, ServerConfig};
 
-/// The serve binary to spawn shards from, or a loud skip.
+/// The serve binary to spawn shards from, rebuilt from the current
+/// sources once per test run, or a loud skip.
 fn serve_bin() -> Option<std::path::PathBuf> {
+    static BUILD: Once = Once::new();
+    BUILD.call_once(|| {
+        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+        let mut cmd = std::process::Command::new(cargo);
+        cmd.args(["build", "--quiet", "--offline", "-p", "sysunc-serve"]);
+        if !cfg!(debug_assertions) {
+            cmd.arg("--release");
+        }
+        // A failed build falls through to discovery, which skips loudly
+        // when no binary exists at all.
+        match cmd.status() {
+            Ok(status) if status.success() => {}
+            other => eprintln!("fleet tests: building sysunc-serve failed: {other:?}"),
+        }
+    });
     let found = locate_serve_bin();
     if found.is_none() {
         eprintln!(

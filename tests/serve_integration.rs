@@ -557,6 +557,14 @@ fn loadgen_modes_drive_cache_and_batch_paths() {
     let text = client.scrape_metrics().expect("metrics scrape");
     let hits = metric_value(&text, "sysunc_cache_hits_total").expect("hits gauge");
     assert!(hits >= 1, "cache-hot traffic must produce hits");
+    // The hits loadgen counts from X-Sysunc-Cache are the server's: cold
+    // and batch seeds are fresh, so every hit is a cache-hot one.
+    let counted: Vec<u64> = entries.iter().map(|(_, r)| r.cache_hits).collect();
+    assert_eq!(
+        counted,
+        [0, hits, 0],
+        "hits per mode: cold, cache-hot, batch"
+    );
     assert_eq!(metric_value(&text, "sysunc_batch_jobs_total"), Some(24));
     server.shutdown();
 
