@@ -5,10 +5,10 @@
 //! ```
 //!
 //! Reads a `sysunc-tidy/3` findings document from stdin (or `--in
-//! FILE`; the legacy `/1` and `/2` schemas are accepted too), folds it into a
-//! `sysunc-bench-trend/1` record with per-rule allowed/baselined
-//! exception counts, and appends it as one JSON line to `--out`
-//! (default `BENCH_tidy_trend.json`) — printing it to stdout as well.
+//! FILE`), folds it into a `sysunc-bench-trend/1` record with per-rule
+//! allowed/baselined exception counts, and appends it as one JSON line
+//! to `--out` (default `BENCH_tidy_trend.json`) — printing it to stdout
+//! as well.
 //!
 //! With `--fail-on-regression` the new record is compared against the
 //! last line already in the trajectory: any rule whose suppression

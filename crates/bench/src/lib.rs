@@ -3,11 +3,10 @@
 //! Each experiment binary (`src/bin/exp_*.rs`) regenerates one
 //! table/figure-equivalent of the paper (see EXPERIMENTS.md at the
 //! workspace root); the helpers here keep their output format uniform.
-//! The [`timing`] module is the in-tree benchmarking harness used by the
-//! `benches/` targets in place of an external framework.
+//! The [`trend`] module folds tidy's findings into the lint-suppression
+//! ledger that the `tidy_trend` binary appends to. Speed is measured by
+//! the workspace benchmark in `perfbench/`, not here.
 
-pub mod loadgen;
-pub mod timing;
 pub mod trend;
 
 /// Prints an experiment header.

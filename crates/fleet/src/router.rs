@@ -34,8 +34,8 @@ use sysunc::prob::json::{self, FromJson, Json};
 use sysunc::wire::fnv1a64;
 use sysunc::{CanonicalRequest, WireRequest};
 use sysunc_serve::http::HttpConn;
-use sysunc_serve::router::{error_response, read_error_response};
-use sysunc_serve::{ConnectionLimiter, HttpClient, Request, Response, ServeError};
+use sysunc_serve::router::{error_response, read_error_response, route};
+use sysunc_serve::{ConnectionLimiter, HttpClient, Request, Response, Route, ServeError};
 
 use crate::metrics::merge_expositions;
 use crate::supervisor::Shared;
@@ -131,17 +131,21 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 /// Routes one request: the two fleet-answered routes, then hash
-/// placement and forwarding for everything else.
+/// placement and forwarding for everything else. Routes are classified
+/// by serve's own table, so a query string changes neither who answers
+/// nor where a body is placed; unknown paths and wrong methods are
+/// forwarded for the shard to render its `404`/`405`.
 fn dispatch(
     request: &Request,
     shared: &Arc<Shared>,
     backends: &mut HashMap<usize, Backend>,
 ) -> Response {
-    match (request.method.as_str(), request.target.as_str()) {
-        ("GET", "/healthz") => fleet_healthz(shared),
-        ("GET", "/metrics") => aggregate_metrics(shared),
+    let route = route(&request.method, &request.target);
+    match route {
+        Route::Healthz => fleet_healthz(shared),
+        Route::Metrics => aggregate_metrics(shared),
         _ => {
-            let hash = placement_hash(request, shared);
+            let hash = placement_hash(route, request, shared);
             forward(hash, request, shared, backends)
         }
     }
@@ -152,10 +156,10 @@ fn dispatch(
 /// batches, and a rotating counter for everything else — discovery
 /// routes any shard can answer, and bodies that fail to canonicalize
 /// (the shard renders the 400).
-fn placement_hash(request: &Request, shared: &Arc<Shared>) -> u64 {
-    let hashed = match (request.method.as_str(), request.target.as_str()) {
-        ("POST", "/v1/propagate") => propagate_hash(&request.body),
-        ("POST", "/v1/propagate/batch") => batch_hash(&request.body),
+fn placement_hash(route: Route, request: &Request, shared: &Arc<Shared>) -> u64 {
+    let hashed = match route {
+        Route::Propagate => propagate_hash(&request.body),
+        Route::PropagateBatch => batch_hash(&request.body),
         _ => None,
     };
     hashed.unwrap_or_else(|| shared.rotor.fetch_add(1, Ordering::Relaxed))

@@ -1,7 +1,7 @@
 //! A small blocking HTTP/1.1 client for the propagation API — used by
-//! the integration tests, the `loadgen` benchmark driver, and the CI
-//! smoke test, so the server is exercised end to end without external
-//! tooling.
+//! the integration tests, the fleet front, the `perfbench` benchmark
+//! and the CI smoke tests, so the server is exercised end to end
+//! without external tooling.
 //!
 //! One [`HttpClient`] owns one keep-alive connection; issue requests
 //! sequentially and reuse it for the next. Typed helpers wrap the

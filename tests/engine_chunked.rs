@@ -6,9 +6,15 @@
 //! sort-based quantiles, and within a tight tolerance on the fused
 //! mean/variance. Every engine of the catalog must additionally be
 //! deterministic under its request seed across repeated and parallel
-//! batch runs.
+//! batch runs. A release-only timing test holds the chunked path to at
+//! least twice the scalar path's speed.
 
-use sysunc::prob::dist::Continuous;
+use std::hint::black_box;
+use std::time::Instant;
+
+use sysunc::orbital::TwoBodyPeriodModel;
+use sysunc::perception::MissedHazardModel;
+use sysunc::prob::dist::{Continuous, Uniform};
 use sysunc::prob::propcheck::{self, u64_range, usize_range};
 use sysunc::prob::rng::{SeedableRng, StdRng};
 use sysunc::propagator::{propagate_chunked, ChunkOptions};
@@ -189,6 +195,78 @@ fn every_engine_is_deterministic_under_its_seed() {
                     "budget {budget}, threads {threads}"
                 );
             }
+        }
+    }
+}
+
+/// The chunked driver's reason to exist: on both paper models it must
+/// run Monte Carlo and Latin hypercube at least twice as fast as the
+/// scalar reference path. Both paths run on one thread
+/// (`ChunkOptions::serial`), so the ratio measures kernel structure,
+/// not core count, and uniform inputs keep the inverse CDF cheap. The
+/// best of five runs is compared, so a stall on a shared host does not
+/// decide the verdict. An unoptimized build compresses the ratio, so
+/// the test runs only in the release timing tier.
+#[test]
+#[ignore = "release timing tier: run via ci.sh"]
+fn chunked_path_is_at_least_twice_as_fast_as_scalar() {
+    const BUDGET: usize = 16_384;
+    const REPS: usize = 5;
+    let uniform = |a: f64, b: f64| Uniform::new(a, b).expect("valid bounds");
+    let period = TwoBodyPeriodModel;
+    let hazard = MissedHazardModel::paper_camera().expect("paper camera builds");
+    let workloads: [(&str, &dyn Model, Vec<Uniform>); 2] = [
+        (
+            "orbital-period",
+            &period,
+            vec![uniform(0.8, 1.2), uniform(0.8, 1.2), uniform(0.9, 1.1)],
+        ),
+        ("missed-hazard", &hazard, vec![uniform(0.0, 1.0), uniform(0.0, 0.3)]),
+    ];
+    let designs: [Box<dyn Design>; 2] = [Box::new(RandomDesign), Box::new(LatinHypercubeDesign)];
+    let best_secs = |run: &mut dyn FnMut()| {
+        (0..REPS)
+            .map(|_| {
+                let started = Instant::now();
+                run();
+                started.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    for (name, model, dists) in &workloads {
+        let inputs: Vec<&dyn Continuous> = dists.iter().map(|d| d as &dyn Continuous).collect();
+        // The scalar path is generic over a sized model; the shim keeps
+        // the per-sample virtual call any registry model pays.
+        let shim = |x: &[f64]| model.eval(x);
+        for design in &designs {
+            let scalar = best_secs(&mut || {
+                let mut rng = StdRng::seed_from_u64(2020);
+                black_box(
+                    propagate(&inputs, design.as_ref(), &shim, BUDGET, &mut rng)
+                        .expect("scalar path runs"),
+                );
+            });
+            let chunked = best_secs(&mut || {
+                let mut rng = StdRng::seed_from_u64(2020);
+                black_box(
+                    propagate_chunked(
+                        &inputs,
+                        design.as_ref(),
+                        *model,
+                        BUDGET,
+                        ChunkOptions::serial(),
+                        &mut rng,
+                    )
+                    .expect("chunked path runs"),
+                );
+            });
+            let speedup = scalar / chunked.max(1e-12);
+            eprintln!("{} on {name}: chunked {speedup:.2}x scalar", design.name());
+            assert!(
+                speedup >= 2.0,
+                "{} on {name}: chunked is {speedup:.2}x scalar, below the 2x floor",
+                design.name()
+            );
         }
     }
 }

@@ -198,8 +198,8 @@ fn routed_cache_hits_are_bit_identical_to_single_process() {
     )
     .expect("single-process server starts");
 
-    let mut fleet_client = HttpClient::connect(fleet.addr()).expect("connects");
-    let mut single_client = HttpClient::connect(single.addr()).expect("connects");
+    let fleet_client = HttpClient::connect(fleet.addr()).expect("connects");
+    let single_client = HttpClient::connect(single.addr()).expect("connects");
 
     // Propcheck drives the request seeds; both clients and the fleet
     // are reused across cases. `assume` rejects a seed already sent
@@ -256,6 +256,40 @@ fn routed_cache_hits_are_bit_identical_to_single_process() {
         text.contains("sysunc_http_requests_total"),
         "child series are merged into the front exposition"
     );
+
+    // The front classifies routes with serve's table, so a query string
+    // changes neither who answers nor where a body is placed.
+    let fleet_lines =
+        |text: &str| text.lines().filter(|l| l.starts_with("sysunc_fleet_")).count();
+    let queried = fleet_client.get("/metrics?x=1").expect("front metrics with a query");
+    assert_eq!(queried.status, 200);
+    assert_eq!(
+        fleet_lines(&queried.body_text()),
+        fleet_lines(&text),
+        "a query string still reaches the front's aggregated exposition"
+    );
+    let health = fleet_client.get("/healthz?x=1").expect("front healthz with a query");
+    let health = health.body_text();
+    assert!(health.contains("\"shards\":2"), "the fleet summary answers: {health}");
+    assert!(!health.contains("queue_depth"), "not one shard's health: {health}");
+    // Round-robin would alternate the two repeats across the shards, so
+    // one of them would miss.
+    let body = json::to_string(&wire(2_000_000));
+    let first = fleet_client
+        .request("POST", "/v1/propagate", Some(&body))
+        .expect("first fleet answer");
+    assert_eq!(first.header("X-Sysunc-Cache"), Some("miss"), "fresh seed");
+    for _ in 0..2 {
+        let repeat = fleet_client
+            .request("POST", "/v1/propagate?x=1", Some(&body))
+            .expect("repeat with a query answers");
+        assert_eq!(
+            repeat.header("X-Sysunc-Cache"),
+            Some("hit"),
+            "a query string keeps content-hash placement"
+        );
+        assert_eq!(repeat.body, first.body);
+    }
     single.shutdown();
     fleet.shutdown();
 }
