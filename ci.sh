@@ -78,6 +78,14 @@ echo "== engine kernel floor (chunked vs scalar, release) =="
 # host. #[ignore]-gated: a debug build compresses the ratio.
 cargo test -q --release --offline --test engine_chunked -- --ignored
 
+echo "== 408 lateness at the cost ceiling (release) =="
+# With a 50 ms deadline, a job at the cost ceiling on each of the five
+# engines, and an 8-job batch at the ceiling, must answer 408 within the
+# lateness crates/serve/PROTOCOL.md states (250 ms past the deadline).
+# Stages that make no model call cannot be cancelled, so the ceiling is
+# what bounds this. #[ignore]-gated: it measures release-build timing.
+cargo test -q --release --offline --test serve_integration -- --ignored
+
 echo "== engine-layer examples (release) =="
 cargo run -q --release --offline --example propagation_methods
 cargo run -q --release --offline --example strategy_workflow

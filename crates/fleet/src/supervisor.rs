@@ -7,8 +7,8 @@
 //!    killed (crash tolerance: the failure is *detected*, then
 //!    *handled* by a respawn — the paper's tolerance/removal pair at
 //!    process granularity).
-//! 2. **Health** — a `GET /healthz` probe (answered by the child off
-//!    its connection thread, never a worker slot) catches a process
+//! 2. **Health** — a `GET /healthz` probe (answered by the child on
+//!    its connection thread without a run permit) catches a process
 //!    that is alive but wedged; `unhealthy_after` consecutive failures
 //!    demote the shard and force a kill + respawn.
 //! 3. **Restart** — respawns back off exponentially
@@ -48,9 +48,10 @@ pub struct FleetConfig {
     pub serve_bin: Option<PathBuf>,
     /// Front bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads per child.
+    /// Propagations running at once per child (its `--workers`).
     pub child_workers: usize,
-    /// Propagate queue slots per child.
+    /// Propagate requests per child that may wait for a run permit
+    /// (its `--queue`).
     pub child_queue: usize,
     /// Response-cache entries per child.
     pub child_cache_capacity: usize,

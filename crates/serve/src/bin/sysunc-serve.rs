@@ -11,6 +11,12 @@
 //! signal-free shutdown convention: closing the pipe asks the server
 //! to drain and exit 0.
 //!
+//! `--workers N` is how many propagations run at once, each on its
+//! connection's thread (default 4); `--queue N` is how many more
+//! requests may wait for one of those run permits before the server
+//! answers `503` (default 64). `--timeout-ms N` is the per-request
+//! deadline (`408`); PROTOCOL.md states how late that answer can be.
+//!
 //! `--child` marks the process as a shard under a `sysunc-fleet`
 //! supervisor: stderr chatter is suppressed (the supervisor owns the
 //! operator console) while the stdout `listening on <addr>` handshake

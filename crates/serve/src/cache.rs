@@ -120,10 +120,14 @@ impl ResponseCache {
     }
 
     fn shard(&self, hash: u64) -> Option<&Mutex<Shard>> {
-        // Shard count is a power of two, so the mask keeps every
-        // hash bit that matters for placement (and the masked index
-        // is always in bounds; `get` still never panics if it isn't).
-        self.shards.get((hash as usize) & (self.shards.len().wrapping_sub(1)))
+        // A fleet places requests by `hash % shards`, so within one
+        // child the low hash bits are constant: masking them alone
+        // would leave most lock shards empty. Folding the high half in
+        // spreads such hashes again. The shard count is a power of two,
+        // so the masked index is always in bounds (and `get` still
+        // never panics if it isn't).
+        let folded = hash ^ (hash >> 32);
+        self.shards.get((folded as usize) & (self.shards.len().wrapping_sub(1)))
     }
 
     /// Looks up the response cached for `key` (its content hash picks
@@ -260,6 +264,24 @@ mod tests {
         cache.insert(1, "k".into(), body("stays"));
         std::thread::sleep(Duration::from_millis(20));
         assert!(cache.get(1, "k").is_some());
+    }
+
+    /// A child of a 2-shard fleet only sees hashes of one parity. Its
+    /// cache must still spread them over every lock shard.
+    #[test]
+    fn hashes_of_one_parity_fill_every_shard() {
+        let cache = ResponseCache::new(1024, 8);
+        let keys = (0u64..)
+            .map(|i| format!("key-{i}"))
+            .filter(|k| sysunc::fnv1a64(k.as_bytes()) % 2 == 0)
+            .take(512);
+        let evicted: u64 = keys
+            .map(|k| cache.insert(sysunc::fnv1a64(k.as_bytes()), k, body("x")))
+            .sum();
+        assert_eq!(evicted, 0, "512 keys fit a 1,024-entry cache");
+        let occupied = cache.shards.iter().filter(|s| !lock(s).entries.is_empty()).count();
+        assert_eq!(occupied, 8);
+        assert_eq!(cache.len(), 512);
     }
 
     #[test]

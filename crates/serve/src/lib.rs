@@ -9,10 +9,11 @@
 //! spirit of the SysML-v2 line of work where an uncertainty analysis
 //! request is data.
 //!
-//! Everything is `std`: `TcpListener` + a fixed worker pool on
-//! `std::thread` with a bounded queue (backpressure → `503` +
-//! `Retry-After`), an accept-side connection cap (`503` before a
-//! request is even read), per-request deadlines (`408`), keep-alive,
+//! Everything is `std`: `TcpListener` + a thread per connection that
+//! runs its own propagations behind an admission gate of run and wait
+//! permits (backpressure → `503` + `Retry-After`), an accept-side
+//! connection cap (`503` before a request is even read), a decode-time
+//! cost ceiling (`400`), per-request deadlines (`408`), keep-alive,
 //! atomic metrics behind `GET /metrics`, and graceful drain on
 //! shutdown. The request path is **content-addressed**: every
 //! propagate body reduces to its `sysunc::CanonicalRequest`, a
@@ -60,7 +61,6 @@ pub use http::{Limits, Request, Response};
 pub use metrics::ServerMetrics;
 /// Accept-side connection cap (`503` beyond it) and its RAII permit.
 pub use pool::{ConnectionLimiter, ConnectionPermit};
-pub use pool::WorkerPool;
 pub use router::{CancelModel, CancelToken, Route};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use shutdown::ShutdownSignal;

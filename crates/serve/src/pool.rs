@@ -1,117 +1,21 @@
-//! A fixed-size worker pool with a bounded job queue.
+//! Permit pools: the server's two admission controls.
 //!
-//! The queue bound is the server's backpressure valve: when every
-//! worker is busy and the queue is full, [`WorkerPool::try_submit`]
-//! refuses the job immediately — the caller answers `503` with
-//! `Retry-After` instead of letting latency grow without bound.
+//! - [`ConnectionLimiter`] caps concurrently served connections. The
+//!   acceptor answers `503 + Retry-After` beyond it.
+//! - [`AdmissionGate`] caps concurrently running propagations. A
+//!   propagation runs on its own connection thread while it holds one
+//!   of `workers` run permits. Up to `queue_capacity` more requests
+//!   wait for one; past both, [`AdmissionGate::admit`] refuses at once
+//!   and the caller answers `503 + Retry-After` instead of letting
+//!   latency grow without bound. A waiter whose deadline passes is
+//!   refused too, and the caller answers `408`.
 //!
-//! Shutdown is graceful by construction: workers drain everything that
-//! was accepted into the queue before exiting, so an accepted request
-//! is never silently dropped.
+//! Permits are RAII: dropping one, on a normal exit or while a panic
+//! unwinds, frees its slot, so no path can leak capacity.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-
-/// A unit of work the pool executes.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Shared {
-    queue: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    shutting_down: AtomicBool,
-    capacity: usize,
-    panics: AtomicU64,
-}
-
-/// Locks a mutex, recovering the guard from a poisoned lock — a
-/// panicking job must not take the whole pool down with it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A fixed-size `std::thread` worker pool with a bounded queue.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &lock(&self.workers).len())
-            .field("capacity", &self.shared.capacity)
-            .field("queued", &self.queue_len())
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// Starts `workers` threads sharing a queue of at most
-    /// `queue_capacity` waiting jobs. Both are clamped to at least 1.
-    pub fn new(workers: usize, queue_capacity: usize) -> Self {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            capacity: queue_capacity.max(1),
-            panics: AtomicU64::new(0),
-        });
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("sysunc-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-            })
-            .collect::<std::io::Result<Vec<_>>>()
-            .unwrap_or_default();
-        Self { shared, workers: Mutex::new(workers) }
-    }
-
-    /// Offers a job to the pool without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the job back when the queue is at capacity or the pool
-    /// is shutting down — the caller decides how to refuse the work.
-    pub fn try_submit(&self, job: Job) -> std::result::Result<(), Job> {
-        if self.shared.shutting_down.load(Ordering::SeqCst) {
-            return Err(job);
-        }
-        let mut queue = lock(&self.shared.queue);
-        if queue.len() >= self.shared.capacity {
-            return Err(job);
-        }
-        queue.push_back(job);
-        drop(queue);
-        self.shared.ready.notify_one();
-        Ok(())
-    }
-
-    /// Jobs currently waiting (not yet picked up by a worker).
-    pub fn queue_len(&self) -> usize {
-        lock(&self.shared.queue).len()
-    }
-
-    /// Number of jobs that panicked (and were contained).
-    pub fn panic_count(&self) -> u64 {
-        self.shared.panics.load(Ordering::Relaxed)
-    }
-
-    /// Stops accepting work, lets the workers drain every queued job,
-    /// and joins them. Idempotent: a second call is a no-op.
-    pub fn shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        self.shared.ready.notify_all();
-        let handles: Vec<_> = lock(&self.workers).drain(..).collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
+use std::time::Instant;
 
 /// Accept-side backpressure: a hard cap on concurrently served
 /// connections.
@@ -177,87 +81,126 @@ impl Drop for ConnectionPermit {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut queue = lock(&shared.queue);
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break Some(job);
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared
-                    .ready
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        match job {
-            Some(job) => {
-                if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                    shared.panics.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => return,
+/// Why [`AdmissionGate::admit`] turned a request away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// Every run permit and every wait permit is taken: answer `503`.
+    Full,
+    /// The request waited for a run permit until its deadline passed:
+    /// answer `408`.
+    Deadline,
+}
+
+/// Permits held right now, guarded by one lock so that "both kinds
+/// are taken" is an exact test.
+#[derive(Debug, Default)]
+struct Held {
+    running: usize,
+    waiting: usize,
+}
+
+/// Run-side backpressure: `workers` run permits plus `queue_capacity`
+/// wait permits for the propagations that run on connection threads.
+#[derive(Debug)]
+pub struct AdmissionGate {
+    held: Mutex<Held>,
+    /// Signalled whenever a run permit is returned.
+    freed: Condvar,
+    run_slots: usize,
+    wait_slots: usize,
+}
+
+/// Locks the gate's counts, recovering the guard from a poisoned lock:
+/// the counts are consistent between statements, and a panicking
+/// holder must not stop admission for everyone else.
+fn lock(m: &Mutex<Held>) -> MutexGuard<'_, Held> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl AdmissionGate {
+    /// A gate with `workers` run permits and `queue_capacity` wait
+    /// permits, both clamped to at least 1.
+    pub fn new(workers: usize, queue_capacity: usize) -> Self {
+        Self {
+            held: Mutex::new(Held::default()),
+            freed: Condvar::new(),
+            run_slots: workers.max(1),
+            wait_slots: queue_capacity.max(1),
         }
+    }
+
+    /// Claims a run permit, waiting for one until `deadline` when all
+    /// are taken.
+    ///
+    /// The wait permit lives only inside this call, which runs no
+    /// caller code and returns it on every path.
+    ///
+    /// # Errors
+    ///
+    /// [`Refusal::Full`] at once when every run and wait permit is
+    /// taken; [`Refusal::Deadline`] when `deadline` passes before a
+    /// run permit frees up.
+    pub fn admit(&self, deadline: Instant) -> Result<RunPermit<'_>, Refusal> {
+        let mut held = lock(&self.held);
+        if held.running < self.run_slots {
+            held.running += 1;
+            return Ok(RunPermit { gate: self });
+        }
+        if held.waiting >= self.wait_slots {
+            return Err(Refusal::Full);
+        }
+        held.waiting += 1;
+        let admitted = loop {
+            if held.running < self.run_slots {
+                held.running += 1;
+                break true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break false;
+            }
+            held = match self.freed.wait_timeout(held, left) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+        };
+        held.waiting -= 1;
+        if admitted {
+            Ok(RunPermit { gate: self })
+        } else {
+            Err(Refusal::Deadline)
+        }
+    }
+
+    /// Requests waiting for a run permit.
+    pub fn waiting(&self) -> usize {
+        lock(&self.held).waiting
+    }
+
+    /// Run permits currently held.
+    pub fn running(&self) -> usize {
+        lock(&self.held).running
+    }
+}
+
+/// An RAII claim on one run permit; dropping it frees the permit and
+/// wakes one waiter.
+#[derive(Debug)]
+pub struct RunPermit<'g> {
+    gate: &'g AdmissionGate,
+}
+
+impl Drop for RunPermit<'_> {
+    fn drop(&mut self) {
+        lock(&self.gate.held).running -= 1;
+        self.gate.freed.notify_one();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::mpsc;
     use std::time::Duration;
-
-    #[test]
-    fn jobs_run_and_shutdown_drains_the_queue() {
-        let pool = WorkerPool::new(2, 64);
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..32 {
-            let ran = Arc::clone(&ran);
-            pool.try_submit(Box::new(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            }))
-            .ok()
-            .expect("queue has room");
-        }
-        pool.shutdown();
-        assert_eq!(ran.load(Ordering::SeqCst), 32);
-    }
-
-    #[test]
-    fn a_full_queue_refuses_jobs_and_returns_them() {
-        let pool = WorkerPool::new(1, 1);
-        let (block_tx, block_rx) = mpsc::channel::<()>();
-        // Occupy the single worker until released.
-        pool.try_submit(Box::new(move || {
-            let _ = block_rx.recv_timeout(Duration::from_secs(5));
-        }))
-        .ok()
-        .expect("worker slot");
-        // Give the worker a moment to pick the job up, then fill the queue.
-        std::thread::sleep(Duration::from_millis(50));
-        pool.try_submit(Box::new(|| {})).ok().expect("queue slot");
-        let refused = pool.try_submit(Box::new(|| {}));
-        assert!(refused.is_err(), "third job must be refused");
-        // The refused job is handed back intact and still callable.
-        if let Err(job) = refused {
-            job();
-        }
-        block_tx.send(()).expect("release worker");
-        pool.shutdown();
-    }
-
-    #[test]
-    fn submissions_after_shutdown_begin_are_refused() {
-        let pool = WorkerPool::new(1, 4);
-        pool.shared.shutting_down.store(true, Ordering::SeqCst);
-        assert!(pool.try_submit(Box::new(|| {})).is_err());
-        pool.shutdown();
-    }
 
     #[test]
     fn connection_limiter_caps_and_releases_on_drop() {
@@ -298,20 +241,50 @@ mod tests {
         assert_eq!(limiter.active(), 0, "every permit released");
     }
 
+    fn in_secs(secs: u64) -> Instant {
+        Instant::now() + Duration::from_secs(secs)
+    }
+
     #[test]
-    fn a_panicking_job_is_contained_and_counted() {
-        let pool = WorkerPool::new(1, 4);
-        pool.try_submit(Box::new(|| panic!("job exploded")))
-            .ok()
-            .expect("queue slot");
-        let done = Arc::new(AtomicUsize::new(0));
-        let done2 = Arc::clone(&done);
-        pool.try_submit(Box::new(move || {
-            done2.fetch_add(1, Ordering::SeqCst);
-        }))
-        .ok()
-        .expect("queue slot");
-        pool.shutdown();
-        assert_eq!(done.load(Ordering::SeqCst), 1, "worker survived the panic");
+    fn the_gate_refuses_past_both_permit_kinds_and_admits_the_waiter() {
+        let gate = AdmissionGate::new(1, 1);
+        let running = gate.admit(in_secs(60)).expect("run permit");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| gate.admit(in_secs(60)).map(drop));
+            while gate.waiting() < 1 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(gate.admit(in_secs(60)).map(drop), Err(Refusal::Full));
+            drop(running);
+            assert_eq!(waiter.join().expect("waiter joins"), Ok(()), "freed permit admits");
+        });
+        assert_eq!((gate.running(), gate.waiting()), (0, 0));
+    }
+
+    #[test]
+    fn a_waiter_is_refused_at_its_deadline() {
+        let gate = AdmissionGate::new(1, 4);
+        let _running = gate.admit(in_secs(60)).expect("run permit");
+        let sent = Instant::now();
+        let refused = gate.admit(sent + Duration::from_millis(50)).map(drop);
+        let waited = sent.elapsed();
+        assert_eq!(refused, Err(Refusal::Deadline));
+        assert!(waited >= Duration::from_millis(50), "refused early: {waited:?}");
+        assert!(waited < Duration::from_secs(1), "refused late: {waited:?}");
+        assert_eq!(gate.waiting(), 0, "the wait permit is returned");
+    }
+
+    #[test]
+    fn a_panic_releases_the_run_permit() {
+        let gate = AdmissionGate::new(1, 1);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _permit = gate.admit(in_secs(60)).expect("run permit");
+            panic!("propagation exploded");
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(gate.running(), 0, "unwinding dropped the permit");
+        let again = gate.admit(Instant::now()).expect("the permit is free again");
+        assert_eq!(gate.running(), 1);
+        drop(again);
     }
 }

@@ -1,29 +1,33 @@
 //! Route classification and response construction for the propagation
-//! API, plus the deadline/cancellation machinery a worker uses to
-//! abort oversized sample budgets.
+//! API, the decode-time cost ceiling, and the deadline/cancellation
+//! machinery that stops an oversized run early.
 //!
 //! The route table is fixed:
 //!
 //! | method | path | handler |
 //! |---|---|---|
-//! | `POST` | `/v1/propagate` | run a [`WireRequest`] on the worker pool |
+//! | `POST` | `/v1/propagate` | run a [`WireRequest`] on the connection thread, once admitted |
 //! | `POST` | `/v1/propagate/batch` | run many jobs through `run_batch`, deduplicated |
 //! | `GET` | `/v1/engines` | engine catalog |
 //! | `GET` | `/v1/models` | registered model names |
 //! | `GET` | `/metrics` | text exposition of [`ServerMetrics`] |
-//! | `GET` | `/healthz` | liveness probe (answered inline, no pool slot) |
+//! | `GET` | `/healthz` | liveness probe (answered without the admission gate) |
 //!
 //! Both propagate routes decode into the **canonical request**
 //! ([`CanonicalRequest`]): the content-addressed identity the response
-//! cache and intra-batch dedup are keyed on.
+//! cache and intra-batch dedup are keyed on. Decoding also prices each
+//! job ([`job_cost`]) and refuses one over [`COST_CEILING`] with `400`,
+//! before it is admitted or allocates anything.
 //!
 //! Cancellation is cooperative: [`CancelModel`] wraps the registered
-//! model and checks its [`CancelToken`] on every evaluation (every
-//! chunk on the batched path), returning `NaN` once cancelled or past
-//! the deadline. Engines then finish almost immediately (their quantile
-//! reduction rejects the NaN sample), the worker observes the expired
-//! token, and the request is answered with `408` instead of burning the
-//! rest of its budget.
+//! model and checks its [`CancelToken`] on every scalar evaluation and
+//! every [`CANCEL_ROWS`] rows of a batched one, returning `NaN` once
+//! cancelled or past the deadline. Engines then finish almost
+//! immediately (their quantile reduction rejects the NaN sample), and
+//! the request is answered with `408` instead of burning the rest of
+//! its budget. Stages that make no model call (design generation, the
+//! inverse-CDF transform, the sort, PCE's surrogate sampling) do not
+//! check; the cost ceiling bounds how long they can run.
 
 use crate::error::ServeError;
 use crate::http::Response;
@@ -33,8 +37,9 @@ use std::sync::Arc;
 use std::time::Instant;
 use sysunc::prob::json::{self, writer::JsonWriter, FromJson, Json};
 use sysunc::{
-    run_batch, BatchJob, CanonicalRequest, Error as SysuncError, Model, ModelRegistry,
-    PropagationReport, Propagator, WireRequest, ENGINE_NAMES,
+    run_batch, BatchJob, CanonicalRequest, Error as SysuncError, EvidentialEngine, Model,
+    ModelRegistry, PropagationReport, Propagator, SpectralEngine, UncertainInput, WireRequest,
+    ENGINE_NAMES,
 };
 
 /// Where a request landed in the route table.
@@ -102,6 +107,11 @@ impl CancelToken {
     }
 }
 
+/// Rows of a batched evaluation between two token checks of
+/// [`CancelModel`]: a slow model runs at most this many evaluations
+/// past the deadline.
+pub const CANCEL_ROWS: usize = 64;
+
 /// A [`Model`] adapter that aborts evaluation once its token expires,
 /// returning `NaN` so engine statistics fail fast instead of running
 /// out the remaining budget.
@@ -127,14 +137,22 @@ impl Model for CancelModel<'_> {
     }
 
     fn eval_batch(&self, columns: &[&[f64]], out: &mut [f64]) {
-        // One token check per chunk instead of per sample: cancellation
-        // stays cooperative at chunk granularity, and an uncancelled
-        // run forwards wholesale — keeping served outputs bit-identical
-        // to the unwrapped model's.
-        if self.token.expired() {
-            out.fill(f64::NAN);
-        } else {
-            self.inner.eval_batch(columns, out);
+        // One token check per CANCEL_ROWS rows instead of per sample.
+        // Each block forwards to the inner batch kernel on row
+        // sub-slices; overrides must be bit-identical to `eval`, so the
+        // served outputs stay bit-identical to the unwrapped model's.
+        let mut rows: Vec<&[f64]> = Vec::with_capacity(columns.len());
+        for (block, out) in out.chunks_mut(CANCEL_ROWS).enumerate() {
+            if self.token.expired() {
+                out.fill(f64::NAN);
+                continue;
+            }
+            let lo = block * CANCEL_ROWS;
+            rows.clear();
+            // A column shorter than `lo` passes on empty, so the inner
+            // model fails exactly as it would on the whole chunk.
+            rows.extend(columns.iter().map(|c| c.get(lo..).unwrap_or_default()));
+            self.inner.eval_batch(&rows, out);
         }
     }
 }
@@ -182,10 +200,11 @@ pub fn metrics_response(metrics: &ServerMetrics) -> Response {
 }
 
 /// `GET /healthz`: a liveness snapshot answered on the connection
-/// thread without taking a pool slot, so a supervisor probe succeeds
-/// even when every worker is busy and the queue is full. Reports the
-/// propagate queue depth, worker count, worker panics so far, and the
-/// server's uptime.
+/// thread without the admission gate, so a supervisor probe succeeds
+/// even when every run and wait permit is taken. Reports the requests
+/// waiting for a run permit (`queue_depth`), the run permit count
+/// (`workers`), propagations that panicked so far (`worker_panics`),
+/// and the server's uptime.
 pub fn healthz_response(
     queue_depth: usize,
     workers: usize,
@@ -203,10 +222,90 @@ pub fn healthz_response(
     Response::new(200).with_json(w.finish().unwrap_or_else(|_| String::from("{}")))
 }
 
-/// Validates engine and model names of a decoded wire request, and the
-/// input count against the model's, and derives its canonical
-/// identity; `context` prefixes error messages (e.g. `"job 3: "`) so
-/// batch failures name the offending job.
+/// The most work one propagate job may ask for, in [`job_cost`] units
+/// (sampled values). Decoding refuses a costlier job with `400`.
+///
+/// It bounds memory and how late a `408` can be: a sampling job at the
+/// ceiling holds at most two 16 MiB design matrices, and a job at the
+/// ceiling ran for 0.06–0.22 s in a release build on a 2-vCPU VM
+/// (PROTOCOL.md gives the measured lateness).
+pub const COST_CEILING: u64 = 1 << 21;
+
+/// Polynomial terms the spectral engine projects or evaluates per cost
+/// unit, at one grid node or surrogate sample.
+const PCE_TERMS_PER_UNIT: u64 = 6;
+
+/// Fixed cost of one spectral surrogate sample (germ transform and
+/// scratch vectors), in cost units.
+const PCE_SAMPLE_BASE: u64 = 5;
+
+/// The work `wire` asks of its engine, in sampled values, computed in
+/// saturating arithmetic from the request alone. One unit is about one
+/// Monte Carlo sampled value; the weights below were fitted to release
+/// timings so that every engine at the ceiling runs about as long:
+///
+/// - `monte-carlo`, `sobol-qmc`: `budget × (inputs + 1)` — each input
+///   column is generated and transformed, and the output column is
+///   evaluated, summed and sorted;
+/// - `latin-hypercube`: 3/2 of that, for the permutation behind each
+///   stratified column;
+/// - `pce-spectral`, with `t` expansion terms (degree 5): `6^inputs`
+///   grid nodes at `⌈t/6⌉` each, plus `max(budget, 1024)` surrogate
+///   samples at `5 + ⌈t/6⌉` each;
+/// - `evidential`: the focal product times `2^inputs + 1` corner calls.
+///
+/// An unknown engine costs 0; canonicalization refuses it.
+pub fn job_cost(wire: &WireRequest) -> u64 {
+    let inputs = wire.inputs.len() as u64;
+    let dim = u32::try_from(inputs).unwrap_or(u32::MAX);
+    // `PropagationRequest::with_budget` runs at least one sample.
+    let budget = (wire.budget as u64).max(1);
+    match wire.engine.as_str() {
+        "monte-carlo" | "sobol-qmc" => budget.saturating_mul(inputs.saturating_add(1)),
+        "latin-hypercube" => {
+            budget.saturating_mul(inputs.saturating_add(1)).saturating_mul(3).div_ceil(2)
+        }
+        "pce-spectral" => {
+            let degree = SpectralEngine::default().degree as u64;
+            let per_term = pce_terms(inputs, degree).div_ceil(PCE_TERMS_PER_UNIT);
+            let nodes = (degree + 1).saturating_pow(dim);
+            let samples = budget.max(1024);
+            nodes
+                .saturating_mul(per_term)
+                .saturating_add(samples.saturating_mul(per_term.saturating_add(PCE_SAMPLE_BASE)))
+        }
+        "evidential" => {
+            // `propagate_model` condenses each input to at most the
+            // dim-th root of the budget (but at least 2) focal
+            // elements: an interval input has one, a distribution
+            // `cells`, merged in equal groups.
+            let cells = EvidentialEngine::default().cells as u64;
+            let root = (budget as f64).powf(1.0 / f64::from(dim.max(1))).floor().max(2.0) as u64;
+            let focal = wire.inputs.iter().fold(1u64, |product, input| {
+                let size = match input {
+                    UncertainInput::Interval { .. } => 1,
+                    _ if cells <= root => cells,
+                    _ => cells.div_ceil(cells.div_ceil(root)),
+                };
+                product.saturating_mul(size)
+            });
+            focal.saturating_mul(2u64.saturating_pow(dim).saturating_add(1))
+        }
+        _ => 0,
+    }
+}
+
+/// Terms of a total-degree polynomial chaos expansion:
+/// `C(inputs + degree, degree)`, saturating.
+fn pce_terms(inputs: u64, degree: u64) -> u64 {
+    (1..=degree).fold(1u64, |c, k| c.saturating_mul(inputs.saturating_add(k)) / k)
+}
+
+/// Validates engine and model names of a decoded wire request, the
+/// input count against the model's, and its cost against
+/// [`COST_CEILING`], and derives its canonical identity; `context`
+/// prefixes error messages (e.g. `"job 3: "`) so batch failures name
+/// the offending job.
 fn canonicalize_wire(
     registry: &ModelRegistry,
     wire: &WireRequest,
@@ -227,6 +326,19 @@ fn canonicalize_wire(
     registry
         .check_inputs(&wire.model, wire.inputs.len())
         .map_err(|e| Box::new(error_response(400, &format!("{context}{e}"))))?;
+    // Nothing has been allocated for the run yet: an over-ceiling job
+    // is refused before admission, so it can neither exhaust memory
+    // nor hold a run permit past its deadline.
+    let cost = job_cost(wire);
+    if cost > COST_CEILING {
+        return Err(Box::new(error_response(
+            400,
+            &format!(
+                "{context}request costs {cost} sampled values, over the ceiling of \
+                 {COST_CEILING}; lower the budget or the input count"
+            ),
+        )));
+    }
     // Canonicalization also validates the engine name (interning it
     // against the catalog) and rejects non-finite float members.
     CanonicalRequest::from_wire(wire)
@@ -234,15 +346,16 @@ fn canonicalize_wire(
 }
 
 /// Decodes and pre-validates a propagate body on the connection
-/// thread, so malformed requests are refused without occupying a
-/// worker slot. Returns the wire request together with its canonical
-/// identity (the response-cache key).
+/// thread, so malformed or over-ceiling requests are refused without
+/// taking a run permit. Returns the wire request together with its
+/// canonical identity (the response-cache key).
 ///
 /// # Errors
 ///
 /// Returns the ready-to-send error response (status 400) when the
 /// body is not a valid [`WireRequest`], names an unknown engine or
-/// model, or carries an input count the model does not read.
+/// model, carries an input count the model does not read, or costs
+/// more than [`COST_CEILING`].
 pub fn decode_propagate_body(
     registry: &ModelRegistry,
     body: &[u8],
@@ -293,7 +406,7 @@ pub fn decode_batch_body(
         .collect()
 }
 
-/// Runs one pre-validated propagation (the worker-side job body) and
+/// Runs one pre-validated propagation on the calling thread and
 /// renders the response: `200` with the report, `408` when the token
 /// expired mid-run, `400` for invalid problem setups, `500` for
 /// internal engine failures.
@@ -339,10 +452,12 @@ pub fn propagate_response(
 }
 
 /// A [`Propagator`] wrapper that feeds per-run engine metrics, so
-/// batch execution accounts runs exactly like single-request serving.
+/// batch execution accounts runs exactly like single-request serving,
+/// and that skips a job whose token expired before it started.
 struct RecordedEngine<'a> {
     inner: Box<dyn Propagator + Send + Sync>,
     metrics: &'a ServerMetrics,
+    token: &'a CancelToken,
 }
 
 impl Propagator for RecordedEngine<'_> {
@@ -358,6 +473,14 @@ impl Propagator for RecordedEngine<'_> {
         &self,
         request: &sysunc::PropagationRequest<'_>,
     ) -> sysunc::Result<PropagationReport> {
+        // Design generation and the transform make no model call, so a
+        // job started late would run them in full: refuse it instead,
+        // and the batch is only as late as the jobs already running.
+        if self.token.expired() {
+            return Err(SysuncError::InvalidInput(
+                "request deadline exceeded before the job started".into(),
+            ));
+        }
         let started = Instant::now();
         let outcome = self.inner.propagate(request);
         if let Ok(report) = &outcome {
@@ -369,10 +492,11 @@ impl Propagator for RecordedEngine<'_> {
 
 /// Runs pre-validated wire jobs through [`run_batch`] under one cancel
 /// token, preserving order. Each model evaluation goes through a
-/// [`CancelModel`] guard, and each successful run is recorded in the
-/// engine metrics with its own latency — exactly like the
-/// single-request path, so the produced reports (and their JSON
-/// encodings) are bit-identical to per-request serving.
+/// [`CancelModel`] guard, a job that would start after the token
+/// expired returns an error without running, and each successful run
+/// is recorded in the engine metrics with its own latency — exactly
+/// like the single-request path, so the produced reports (and their
+/// JSON encodings) are bit-identical to per-request serving.
 ///
 /// # Errors
 ///
@@ -396,6 +520,7 @@ pub fn run_batch_jobs(
         engines.push(RecordedEngine {
             inner: wire.resolve_engine().map_err(|e| (i, e))?,
             metrics,
+            token,
         });
         let model = registry.get(&wire.model).ok_or_else(|| {
             (i, SysuncError::InvalidInput(format!("unknown model '{}'", wire.model)))
@@ -623,6 +748,132 @@ mod tests {
         assert_eq!(guarded.eval(&[3.0]), 6.0);
         token.cancel();
         assert!(guarded.eval(&[3.0]).is_nan());
+    }
+
+    #[test]
+    fn cancel_model_checks_every_64_rows_and_forwards_bit_identical_rows() {
+        let registry = ModelRegistry::standard().expect("builds");
+        let model = registry.get("orbital-period").expect("registered");
+        let rows = 1000;
+        let columns: Vec<Vec<f64>> = (0..3)
+            .map(|j| (0..rows).map(|i| 1.0 + (i * (j + 2)) as f64 / 997.0).collect())
+            .collect();
+        let cols: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+        let mut direct = vec![0.0; rows];
+        model.eval_batch(&cols, &mut direct);
+        let mut guarded = vec![0.0; rows];
+        CancelModel::new(model, CancelToken::with_deadline(far_future()))
+            .eval_batch(&cols, &mut guarded);
+        let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&guarded), bits(&direct), "sub-slicing keeps every bit");
+
+        // A model that cancels its own token on the 10th evaluation:
+        // the rest of that 64-row block runs, every later row is NaN.
+        let token = CancelToken::with_deadline(far_future());
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let cancelling = |x: &[f64]| {
+            if calls.fetch_add(1, Ordering::SeqCst) == 9 {
+                token.cancel();
+            }
+            x[0]
+        };
+        let mut out = vec![0.0; rows];
+        CancelModel::new(&cancelling, token.clone()).eval_batch(&cols, &mut out);
+        assert_eq!(calls.load(Ordering::SeqCst), CANCEL_ROWS);
+        assert!(out[..CANCEL_ROWS].iter().all(|y| !y.is_nan()));
+        assert!(out[CANCEL_ROWS..].iter().all(|y| y.is_nan()));
+    }
+
+    #[test]
+    fn batch_jobs_past_the_deadline_do_not_start() {
+        let registry = ModelRegistry::standard().expect("builds");
+        let metrics = ServerMetrics::new();
+        // Without quantile levels a run over NaN outputs still reports,
+        // so only a job that never started comes back as an error.
+        let wires: Vec<WireRequest> = ["latin-hypercube", "monte-carlo"]
+            .iter()
+            .map(|engine| WireRequest { quantile_levels: Vec::new(), ..wire(engine, "sum") })
+            .collect();
+        let token = CancelToken::with_deadline(Instant::now());
+        let results =
+            run_batch_jobs(&registry, &wires, &token, &metrics, 2).expect("batch binds");
+        assert!(results.iter().all(Result::is_err), "no job ran");
+        assert_eq!(metrics.engine_count("latin-hypercube"), 0);
+        assert_eq!(metrics.engine_count("monte-carlo"), 0);
+    }
+
+    /// A job priced just over the ceiling, on every engine.
+    fn over_the_ceiling(engine: &str) -> WireRequest {
+        let normal = || UncertainInput::Normal { mu: 0.0, sigma: 1.0 };
+        let mut w = WireRequest::new(engine, "sum", vec![normal(); 2]);
+        w.budget = match engine {
+            "latin-hypercube" => (COST_CEILING as usize * 2).div_ceil(9) + 1,
+            "pce-spectral" => (COST_CEILING as usize) / 9 + 1,
+            _ => (COST_CEILING as usize) / 3 + 1,
+        };
+        if engine == "evidential" {
+            // 12 inputs: 2^12 focal elements of 2^12 + 1 corner calls.
+            w.inputs = vec![normal(); 12];
+            w.budget = 1;
+        }
+        w
+    }
+
+    #[test]
+    fn job_cost_prices_each_engine() {
+        let normal = UncertainInput::Normal { mu: 0.0, sigma: 1.0 };
+        let interval = UncertainInput::Interval { lo: 0.0, hi: 1.0 };
+        let priced = |engine: &str, inputs: Vec<UncertainInput>, budget: usize| {
+            let mut w = WireRequest::new(engine, "sum", inputs);
+            w.budget = budget;
+            job_cost(&w)
+        };
+        assert_eq!(priced("monte-carlo", vec![normal; 2], 4096), 3 * 4096);
+        assert_eq!(priced("sobol-qmc", vec![normal; 3], 0), 4, "budget 0 runs one sample");
+        assert_eq!(priced("latin-hypercube", vec![normal; 2], 4096), 3 * 4096 * 3 / 2);
+        // Degree 5 in 2 inputs: 21 terms (4 units), 36 nodes, and at
+        // least 1,024 surrogate samples at 5 + 4 units.
+        assert_eq!(priced("pce-spectral", vec![normal; 2], 16), 36 * 4 + 1024 * 9);
+        // 16,384 = 128² so each input condenses to 32 / ⌈32/128⌉ = 32
+        // focal elements, the interval to 1; 2^3 + 1 corner calls each.
+        assert_eq!(
+            priced("evidential", vec![normal, normal, interval], 128 * 128 * 128),
+            32 * 32 * 9
+        );
+        // A root below the cell count merges cells in equal groups:
+        // ⌊16384^(1/3)⌋ = 25 → 32 / ⌈32/25⌉ = 16 per distribution.
+        assert_eq!(priced("evidential", vec![normal, normal, interval], 16_384), 16 * 16 * 9);
+        assert_eq!(priced("monte-carlo", vec![normal; 2], usize::MAX), u64::MAX, "saturates");
+        assert_eq!(priced("warp", vec![normal], 4096), 0, "unknown engines are refused later");
+        for engine in ENGINE_NAMES {
+            assert!(job_cost(&over_the_ceiling(engine)) > COST_CEILING, "{engine}");
+        }
+    }
+
+    #[test]
+    fn over_ceiling_jobs_are_refused_at_decode_and_named_in_a_batch() {
+        let registry = ModelRegistry::standard().expect("builds");
+        for engine in ENGINE_NAMES {
+            let body = json::to_string(&over_the_ceiling(engine));
+            let resp = *decode_propagate_body(&registry, body.as_bytes()).expect_err(engine);
+            assert_eq!(resp.status, 400, "{engine}");
+            assert!(resp.body_text().contains("over the ceiling"), "{}", resp.body_text());
+        }
+        // Exactly at the ceiling is accepted.
+        let mut at = wire("monte-carlo", "sum");
+        at.budget = COST_CEILING as usize / 2;
+        assert_eq!(job_cost(&at), COST_CEILING);
+        assert!(decode_propagate_body(&registry, json::to_string(&at).as_bytes()).is_ok());
+
+        let body = format!(
+            "{{\"jobs\":[{},{}]}}",
+            json::to_string(&wire("monte-carlo", "sum")),
+            json::to_string(&over_the_ceiling("pce-spectral")),
+        );
+        let resp = *decode_batch_body(&registry, body.as_bytes()).expect_err("refused");
+        assert_eq!(resp.status, 400);
+        let text = resp.body_text();
+        assert!(text.starts_with("{\"error\":\"job 1: request costs"), "{text}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The server proper: listener, acceptor thread, per-connection
-//! threads, and the propagate path through the worker pool.
+//! threads, and the propagate path behind the admission gate.
 //!
 //! Threading model:
 //!
@@ -11,27 +11,29 @@
 //! - **Connection** threads parse HTTP, serve the cheap discovery
 //!   routes inline, look repeated propagate requests up in the
 //!   content-addressed [`ResponseCache`] (a hit answers without
-//!   touching the pool), and hand cache misses to the shared
-//!   [`WorkerPool`], waiting on a channel with the request deadline.
-//! - **Worker** threads run the actual propagations; a batch request
-//!   occupies one worker slot and fans its deduplicated jobs across
+//!   touching the gate), and run cache misses themselves once the
+//!   [`AdmissionGate`] hands them a run permit. A batch request holds
+//!   one permit and fans its deduplicated jobs across
 //!   `core::run_batch` scoped threads.
 //!
-//! Backpressure: when the pool queue is full, the connection thread
-//! answers `503` with `Retry-After` immediately. Deadlines: when the
-//! worker misses the request deadline the connection thread answers
-//! `408` and cancels the in-flight job's [`CancelToken`], turning the
-//! rest of its budget into fast no-ops. Shutdown: the
+//! Backpressure: with every run permit and every wait permit taken, the
+//! connection thread answers `503` with `Retry-After` immediately.
+//! Deadlines: a request still waiting for a run permit at its deadline
+//! answers `408`; a running one sees its [`CancelToken`] expire at the
+//! engine's next cancel check, which turns the rest of its budget into
+//! fast no-ops, and answers `408` then. Panics: the propagation runs
+//! under `catch_unwind`, so a panicking model answers `500`, is counted
+//! in `/healthz`, and its run permit is returned. Shutdown: the
 //! [`ShutdownSignal`] stops the acceptor, connection read loops notice
 //! via their polling timeout and finish their current request, and the
-//! pool drains every accepted job before the handle's `shutdown`
-//! returns.
+//! acceptor joins every connection thread before the handle's
+//! `shutdown` returns.
 
 use crate::cache::ResponseCache;
 use crate::error::{Result, ServeError};
 use crate::http::{HttpConn, Limits, Request, Response};
 use crate::metrics::{route_label, ServerMetrics};
-use crate::pool::{ConnectionLimiter, WorkerPool};
+use crate::pool::{AdmissionGate, ConnectionLimiter, Refusal};
 use crate::router::{
     decode_batch_body, decode_propagate_body, engines_response, error_response,
     healthz_response, metrics_response, models_response, propagate_response,
@@ -40,7 +42,8 @@ use crate::router::{
 use crate::shutdown::ShutdownSignal;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,9 +54,11 @@ use sysunc::{dedup_by_key, Error as SysuncError, ModelRegistry};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads executing propagations.
+    /// Propagations running at once (run permits of the admission
+    /// gate); also the thread count of one batch's `run_batch`.
     pub workers: usize,
-    /// Propagate jobs allowed to wait in the queue before `503`.
+    /// Propagate requests allowed to wait for a run permit before
+    /// `503`.
     pub queue_capacity: usize,
     /// Deadline per propagate request before `408`.
     pub request_timeout: Duration,
@@ -94,7 +99,9 @@ impl Default for ServerConfig {
 struct Ctx {
     registry: ModelRegistry,
     metrics: Arc<ServerMetrics>,
-    pool: WorkerPool,
+    gate: AdmissionGate,
+    /// Propagations that panicked (answered `500`), for `/healthz`.
+    panics: AtomicU64,
     cache: ResponseCache,
     signal: ShutdownSignal,
     config: ServerConfig,
@@ -107,7 +114,7 @@ struct Ctx {
 pub struct Server;
 
 impl Server {
-    /// Binds, spawns the acceptor and worker threads, and returns a
+    /// Binds, spawns the acceptor thread, and returns a
     /// handle. The server runs until [`ServerHandle::shutdown`] (or
     /// the handle's drop).
     ///
@@ -122,7 +129,8 @@ impl Server {
         let ctx = Arc::new(Ctx {
             registry,
             metrics: Arc::clone(&metrics),
-            pool: WorkerPool::new(config.workers, config.queue_capacity),
+            gate: AdmissionGate::new(config.workers, config.queue_capacity),
+            panics: AtomicU64::new(0),
             cache: ResponseCache::with_ttl(
                 config.cache_capacity,
                 config.cache_shards,
@@ -169,7 +177,7 @@ impl ServerHandle {
     }
 
     /// Gracefully stops the server: no new connections, in-flight
-    /// requests drain, workers and connection threads join.
+    /// requests drain, connection threads join.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -216,7 +224,6 @@ fn acceptor_loop(listener: &TcpListener, ctx: &Arc<Ctx>) {
     for handle in connections {
         let _ = handle.join();
     }
-    ctx.pool.shutdown();
 }
 
 /// Answers a connection refused at the cap: an immediate `503 +
@@ -271,19 +278,19 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<Ctx>) {
     ctx.metrics.connection_closed();
 }
 
-fn handle_request(request: &Request, ctx: &Arc<Ctx>) -> Response {
+fn handle_request(request: &Request, ctx: &Ctx) -> Response {
     match route(&request.method, &request.target) {
-        Route::Propagate => propagate_via_pool(request, ctx),
-        Route::PropagateBatch => propagate_batch_via_pool(request, ctx),
+        Route::Propagate => propagate(request, ctx),
+        Route::PropagateBatch => propagate_batch(request, ctx),
         Route::Engines => engines_response(),
         Route::Models => models_response(&ctx.registry),
         Route::Metrics => metrics_response(&ctx.metrics),
-        // Answered inline — a supervisor probe must succeed even when
-        // every worker is busy and the queue is at capacity.
+        // Answered without the gate — a supervisor probe must succeed
+        // even when every run and wait permit is taken.
         Route::Healthz => healthz_response(
-            ctx.pool.queue_len(),
+            ctx.gate.waiting(),
             ctx.config.workers,
-            ctx.pool.panic_count(),
+            ctx.panics.load(Ordering::Relaxed),
             ctx.started.elapsed(),
         ),
         Route::MethodNotAllowed => {
@@ -301,11 +308,32 @@ fn handle_request(request: &Request, ctx: &Arc<Ctx>) -> Response {
     }
 }
 
-/// The full propagate path: decode and canonicalize on this thread,
-/// serve cache hits without touching the pool, otherwise execute on
-/// the pool, enforce backpressure and the deadline, and populate the
-/// cache from successful responses.
-fn propagate_via_pool(request: &Request, ctx: &Arc<Ctx>) -> Response {
+/// Runs `job` on this thread once the admission gate grants a run
+/// permit, containing a panic: `Err` carries the ready answer — `503`
+/// with every permit taken, `408` when the deadline passes while
+/// waiting, `500` (counted for `/healthz`) when `job` panics. The
+/// permit is returned on every path.
+fn run_admitted<T>(
+    ctx: &Ctx,
+    deadline: Instant,
+    job: impl FnOnce() -> T,
+) -> std::result::Result<T, Response> {
+    let _permit = ctx.gate.admit(deadline).map_err(|refusal| match refusal {
+        Refusal::Full => error_response(503, "server is at capacity; retry shortly")
+            .with_header("Retry-After", "1"),
+        Refusal::Deadline => error_response(408, "request deadline exceeded"),
+    })?;
+    catch_unwind(AssertUnwindSafe(job)).map_err(|_| {
+        ctx.panics.fetch_add(1, Ordering::Relaxed);
+        error_response(500, "propagation worker failed")
+    })
+}
+
+/// The full propagate path: decode and canonicalize, serve cache hits
+/// without touching the gate, otherwise run the propagation on this
+/// thread under the gate and the deadline, and populate the cache from
+/// successful responses.
+fn propagate(request: &Request, ctx: &Ctx) -> Response {
     let (wire, canonical) = match decode_propagate_body(&ctx.registry, &request.body) {
         Ok(decoded) => decoded,
         Err(response) => return *response,
@@ -319,51 +347,33 @@ fn propagate_via_pool(request: &Request, ctx: &Arc<Ctx>) -> Response {
     ctx.metrics.cache_miss();
     let deadline = Instant::now() + ctx.config.request_timeout;
     let token = CancelToken::with_deadline(deadline);
-    let (tx, rx) = mpsc::channel();
-    let job_ctx = Arc::clone(ctx);
-    let job_token = token.clone();
-    let submitted = ctx.pool.try_submit(Box::new(move || {
-        let response =
-            propagate_response(&job_ctx.registry, &wire, &job_token, &job_ctx.metrics);
-        let _ = tx.send(response);
-    }));
-    if submitted.is_err() {
-        return error_response(503, "server is at capacity; retry shortly")
-            .with_header("Retry-After", "1");
+    let response = match run_admitted(ctx, deadline, || {
+        propagate_response(&ctx.registry, &wire, &token, &ctx.metrics)
+    }) {
+        Ok(response) => response,
+        Err(refused) => return refused,
+    };
+    // Only complete reports are cacheable: errors and timeouts are
+    // circumstantial, not a function of the request.
+    if response.status == 200 {
+        let body = String::from_utf8_lossy(&response.body).into_owned();
+        let evicted = ctx.cache.insert(
+            canonical.content_hash(),
+            canonical.bytes().to_string(),
+            Arc::new(body),
+        );
+        ctx.metrics.cache_evicted(evicted);
     }
-    let budget = deadline.saturating_duration_since(Instant::now());
-    match rx.recv_timeout(budget) {
-        Ok(response) => {
-            // Only complete reports are cacheable: errors and timeouts
-            // are circumstantial, not a function of the request.
-            if response.status == 200 {
-                let body = String::from_utf8_lossy(&response.body).into_owned();
-                let evicted = ctx.cache.insert(
-                    canonical.content_hash(),
-                    canonical.bytes().to_string(),
-                    Arc::new(body),
-                );
-                ctx.metrics.cache_evicted(evicted);
-            }
-            response.with_header("X-Sysunc-Cache", "miss")
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            token.cancel();
-            error_response(408, "request deadline exceeded")
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            error_response(500, "propagation worker failed")
-        }
-    }
+    response.with_header("X-Sysunc-Cache", "miss")
 }
 
 /// The batch propagate path: decode all jobs on this thread, collapse
 /// them onto distinct canonical requests, serve what the cache
-/// already holds, run the rest as **one** pool job through
+/// already holds, run the rest under **one** run permit through
 /// `core::run_batch`, and assemble the report array in job order from
 /// the per-unique bodies — each body the exact bytes single-request
 /// serving produces.
-fn propagate_batch_via_pool(request: &Request, ctx: &Arc<Ctx>) -> Response {
+fn propagate_batch(request: &Request, ctx: &Ctx) -> Response {
     let jobs = match decode_batch_body(&ctx.registry, &request.body) {
         Ok(jobs) => jobs,
         Err(response) => return *response,
@@ -410,34 +420,11 @@ fn propagate_batch_via_pool(request: &Request, ctx: &Arc<Ctx>) -> Response {
         }
         let deadline = Instant::now() + ctx.config.request_timeout;
         let token = CancelToken::with_deadline(deadline);
-        let (tx, rx) = mpsc::channel();
-        let job_ctx = Arc::clone(ctx);
-        let job_token = token.clone();
-        let threads = ctx.config.workers;
-        let submitted = ctx.pool.try_submit(Box::new(move || {
-            let results = run_batch_jobs(
-                &job_ctx.registry,
-                &wires,
-                &job_token,
-                &job_ctx.metrics,
-                threads,
-            );
-            let _ = tx.send(results);
-        }));
-        if submitted.is_err() {
-            return error_response(503, "server is at capacity; retry shortly")
-                .with_header("Retry-After", "1");
-        }
-        let budget = deadline.saturating_duration_since(Instant::now());
-        let results = match rx.recv_timeout(budget) {
+        let results = match run_admitted(ctx, deadline, || {
+            run_batch_jobs(&ctx.registry, &wires, &token, &ctx.metrics, ctx.config.workers)
+        }) {
             Ok(results) => results,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                token.cancel();
-                return error_response(408, "request deadline exceeded");
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return error_response(500, "propagation worker failed");
-            }
+            Err(refused) => return refused,
         };
         let results = match results {
             Ok(results) => results,

@@ -4,7 +4,7 @@
 //! A `let`-bound guard that is still live when the function sleeps,
 //! joins a thread, does socket I/O or blocks on a channel `recv`
 //! serializes every other thread behind an operation of unbounded
-//! latency — the deadlock shape the serve worker pool is designed
+//! latency — the deadlock shape the serve admission gate is designed
 //! around. Liveness runs as real dataflow over the function's
 //! [`crate::cfg`] control-flow graph (`resolution: cfg`): a guard counts
 //! as held at a blocking call only if some path actually carries it

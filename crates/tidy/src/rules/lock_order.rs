@@ -3,7 +3,7 @@
 //!
 //! Two threads that take the same pair of locks in opposite orders can
 //! each hold one and block forever on the other — the classic deadlock
-//! the serve worker pool, response cache, and metrics registry could
+//! the serve admission gate, response cache, and metrics registry could
 //! construct between them. This rule extracts, per function, the
 //! ordered pairs "lock *a* is still held when lock *b* is acquired"
 //! using the same CFG liveness dataflow as `lock-hygiene` (so a guard

@@ -185,7 +185,8 @@ fn drain_on_shutdown_completes_the_in_flight_batch() {
 /// Cache locality through the router: the same request sent twice to
 /// the fleet lands on the same shard (content-hash placement), the
 /// second answer is a cache hit, and both bodies are bit-identical to
-/// what a single-process server returns.
+/// what a single-process server returns. Bodies over the cost ceiling
+/// answer `400` without a shard restart.
 #[test]
 fn routed_cache_hits_are_bit_identical_to_single_process() {
     let Some(bin) = serve_bin() else { return };
@@ -290,6 +291,24 @@ fn routed_cache_hits_are_bit_identical_to_single_process() {
         );
         assert_eq!(repeat.body, first.body);
     }
+
+    // Poison bodies over the cost ceiling are refused by the shard that
+    // decodes them, so they cannot crash it and walk the fleet.
+    let normal = r#"{"dist":"normal","mu":0,"sigma":1}"#;
+    let poison = |engine: &str, inputs: &[&str], extra: &str| {
+        format!(r#"{{"engine":"{engine}","model":"sum","inputs":[{}]{extra}}}"#, inputs.join(","))
+    };
+    let poisons = [
+        poison("monte-carlo", &[normal; 2], r#","budget":400000000"#),
+        poison("pce-spectral", &[normal; 12], ""),
+    ];
+    for body in &poisons {
+        let refused = fleet_client
+            .request("POST", "/v1/propagate", Some(body))
+            .expect("the fleet answers");
+        assert_eq!(refused.status, 400, "body: {}", refused.body_text());
+    }
+    assert_eq!(fleet.metrics().total_restarts(), 0, "no shard died");
     single.shutdown();
     fleet.shutdown();
 }

@@ -1,16 +1,22 @@
 //! End-to-end tests of the propagation server: wire fidelity under
 //! concurrency, the content-addressed response cache (bit-identical
 //! hits, LRU eviction), batch propagation with intra-batch dedup,
-//! backpressure (`503` from both the job queue and the accept-side
-//! connection cap), deadlines (`408`) and graceful shutdown — all over
+//! backpressure (`503` from both the admission gate and the accept-side
+//! connection cap), the decode-time cost ceiling (`400`), deadlines
+//! (`408`), contained panics (`500`) and graceful shutdown — all over
 //! real TCP connections against an ephemeral-port server.
+//!
+//! The `#[ignore]`d tests measure how late a `408` is for jobs at the
+//! cost ceiling. They depend on release-build timing; run them with
+//! `cargo test --release --test serve_integration -- --ignored`.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sysunc::prob::json::{self, Json};
 use sysunc::{engine_by_name, ModelRegistry, UncertainInput, WireRequest, ENGINE_NAMES};
+use sysunc_serve::router::{job_cost, COST_CEILING};
 use sysunc_serve::{HttpClient, Server, ServerConfig};
 
 fn standard_inputs() -> Vec<UncertainInput> {
@@ -67,7 +73,7 @@ fn concurrent_clients_get_bit_identical_reports() {
 }
 
 /// A registry whose single model blocks until `release` flips,
-/// letting tests hold the worker pool at a known occupancy.
+/// letting tests hold the run permits at a known occupancy.
 fn blocking_registry(release: Arc<AtomicBool>) -> ModelRegistry {
     let mut registry = ModelRegistry::new();
     registry
@@ -117,6 +123,11 @@ fn full_queue_answers_503_with_retry_after() {
         })
         .collect();
 
+    // The second request waits for the run permit, and /healthz (which
+    // needs no permit) counts it.
+    let mut probe = HttpClient::connect(addr).expect("connects");
+    assert_eq!(healthz(&mut probe, "queue_depth"), Some(1));
+
     // Worker busy + queue full: the next request must be refused
     // immediately with backpressure advice, not queued or dropped.
     let mut client = HttpClient::connect(addr).expect("connects");
@@ -161,10 +172,16 @@ fn deadline_exceeded_answers_408() {
     // 4096 evaluations at 2 ms each can never meet an 80 ms deadline.
     let wire = WireRequest::new("monte-carlo", "slow", standard_inputs());
     let mut client = HttpClient::connect(server.addr()).expect("connects");
+    let sent = Instant::now();
     let response = client
         .request("POST", "/v1/propagate", Some(&json::to_string(&wire)))
         .expect("response arrives");
     assert_eq!(response.status, 408, "body: {}", response.body_text());
+    // The run stops at its next cancel check, every 64 rows: at most
+    // 64 evaluations (128 ms) past the deadline per run thread, not the
+    // 2 s a 1,024-row chunk of evaluations would take.
+    let waited = sent.elapsed();
+    assert!(waited < Duration::from_secs(1), "408 arrived {waited:?} after the send");
 
     // The cancel token turns the abandoned job into fast no-ops: the
     // same connection answers a cheap request promptly afterwards.
@@ -250,6 +267,181 @@ fn discovery_and_metrics_routes_reflect_served_traffic() {
     assert_eq!(doc.get("status").and_then(Json::as_u64), Some(400));
     assert!(doc.get("error").and_then(Json::as_str).is_some());
     server.shutdown();
+}
+
+/// One numeric field of the server's `/healthz` answer.
+fn healthz(client: &mut HttpClient, key: &str) -> Option<u64> {
+    let health = client.get("/healthz").expect("healthz answers");
+    assert_eq!(health.status, 200);
+    json::parse(&health.body_text()).expect("healthz JSON").get(key).and_then(Json::as_u64)
+}
+
+/// A model that panics answers `500`; the panic is counted in
+/// `/healthz`, its run permit is returned, and the next request on the
+/// same single-permit server answers `200`.
+#[test]
+fn a_panicking_model_answers_500_and_the_server_serves_on() {
+    let mut registry = ModelRegistry::new();
+    registry
+        .register(
+            "explode",
+            Box::new(|x: &[f64]| {
+                assert!(x.is_empty(), "model exploded");
+                0.0
+            }),
+        )
+        .expect("registers");
+    registry.register("calm", Box::new(|x: &[f64]| x.iter().sum::<f64>())).expect("registers");
+    let server = Server::start(
+        ServerConfig { workers: 1, queue_capacity: 1, ..ServerConfig::default() },
+        registry,
+    )
+    .expect("server starts");
+    let mut client = HttpClient::connect(server.addr()).expect("connects");
+
+    let mut wire = WireRequest::new("monte-carlo", "explode", standard_inputs());
+    wire.budget = 64;
+    let failed = client
+        .request("POST", "/v1/propagate", Some(&json::to_string(&wire)))
+        .expect("response arrives");
+    assert_eq!(failed.status, 500, "body: {}", failed.body_text());
+    assert_eq!(healthz(&mut client, "worker_panics"), Some(1));
+
+    wire.model = "calm".into();
+    let report = client.propagate(&wire).expect("the next request propagates");
+    assert_eq!(report.evaluations, 64);
+    server.shutdown();
+}
+
+/// Poison bodies: each asks for more than the cost ceiling and, before
+/// the ceiling, aborted or starved the server. Decoding refuses them
+/// with `400` before they are admitted or allocate anything, alone or
+/// inside a batch (which names the job).
+#[test]
+fn over_ceiling_requests_answer_400_before_any_run() {
+    let server = Server::start(
+        ServerConfig::default(),
+        ModelRegistry::standard().expect("registry builds"),
+    )
+    .expect("server starts");
+    let mut client = HttpClient::connect(server.addr()).expect("connects");
+    let good = json::to_string(&WireRequest::new("monte-carlo", "sum", standard_inputs()));
+    for poison in poison_bodies() {
+        let refused = client
+            .request("POST", "/v1/propagate", Some(&poison))
+            .expect("response arrives");
+        assert_eq!(refused.status, 400, "body: {}", refused.body_text());
+        assert!(refused.body_text().contains("over the ceiling"), "{}", refused.body_text());
+
+        let batch = format!("{{\"jobs\":[{good},{poison}]}}");
+        let refused = client
+            .request("POST", "/v1/propagate/batch", Some(&batch))
+            .expect("response arrives");
+        assert_eq!(refused.status, 400, "body: {}", refused.body_text());
+        assert!(refused.body_text().contains("job 1: request costs"), "{}", refused.body_text());
+    }
+    assert_eq!(healthz(&mut client, "worker_panics"), Some(0));
+    let text = client.scrape_metrics().expect("metrics scrape");
+    assert_eq!(metric_value(&text, "sysunc_cache_misses_total"), Some(0), "nothing ran");
+    server.shutdown();
+}
+
+/// The two poison bodies: Monte Carlo at a budget of 4·10⁸ (3.2 GB of
+/// design matrices), and `pce-spectral` over 12 inputs (a 6^12-node
+/// tensor grid, a 52 GB allocation).
+fn poison_bodies() -> [String; 2] {
+    let normal = r#"{"dist":"normal","mu":0,"sigma":1}"#;
+    let body = |engine: &str, inputs: &[&str], extra: &str| {
+        format!(r#"{{"engine":"{engine}","model":"sum","inputs":[{}]{extra}}}"#, inputs.join(","))
+    };
+    [
+        body("monte-carlo", &[normal; 2], r#","budget":400000000"#),
+        body("pce-spectral", &[normal; 12], ""),
+    ]
+}
+
+/// How late a `408` may arrive after its deadline, as PROTOCOL.md
+/// states it.
+const STATED_LATENESS: Duration = Duration::from_millis(250);
+
+/// The deadline of the release-timing tests.
+const TIGHT_DEADLINE: Duration = Duration::from_millis(50);
+
+fn normals(n: usize) -> Vec<UncertainInput> {
+    vec![UncertainInput::Normal { mu: 0.0, sigma: 1.0 }; n]
+}
+
+/// For each engine, its costliest accepted job of one shape: one input
+/// for the sampling engines (the output column costs most there), two
+/// for `pce-spectral`, and eight for `evidential` (3 focal elements per
+/// input, 257 corner calls each).
+fn ceiling_job(engine: &str) -> WireRequest {
+    let (inputs, budget) = match engine {
+        "latin-hypercube" => (normals(1), COST_CEILING as usize / 3),
+        "pce-spectral" => (normals(2), (COST_CEILING as usize - 36 * 4) / 9),
+        "evidential" => (normals(8), 10_000),
+        _ => (normals(1), COST_CEILING as usize / 2),
+    };
+    let mut wire = WireRequest::new(engine, "sum", inputs);
+    wire.budget = budget;
+    let cost = job_cost(&wire);
+    assert!(cost <= COST_CEILING && cost > COST_CEILING * 3 / 4, "{engine} costs {cost}");
+    wire
+}
+
+/// Sends `body` to a fresh 50 ms-deadline server and returns the answer
+/// with the time it took past the deadline. Measurements hold a lock,
+/// so the two timing tests never share the CPU.
+fn lateness_of(path: &str, body: &str) -> (u16, Duration) {
+    static ALONE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let server = Server::start(
+        ServerConfig { request_timeout: TIGHT_DEADLINE, ..ServerConfig::default() },
+        ModelRegistry::standard().expect("registry builds"),
+    )
+    .expect("server starts");
+    let mut client = HttpClient::connect(server.addr()).expect("connects");
+    let sent = Instant::now();
+    let response = client.request("POST", path, Some(body)).expect("response arrives");
+    let late = sent.elapsed().saturating_sub(TIGHT_DEADLINE);
+    server.shutdown();
+    (response.status, late)
+}
+
+/// Every engine, at the cost ceiling, answers `408` within the lateness
+/// PROTOCOL.md states. The stages that make no model call cannot be
+/// cancelled, so this is what the ceiling buys.
+#[test]
+#[ignore = "release timing tier: run via ci.sh"]
+fn every_engine_at_the_ceiling_answers_408_within_the_stated_lateness() {
+    for engine in ENGINE_NAMES {
+        let (status, late) = lateness_of("/v1/propagate", &json::to_string(&ceiling_job(engine)));
+        eprintln!("{engine}: {status} {late:?} past the deadline");
+        assert_eq!(status, 408, "{engine} at the ceiling outlasts a 50 ms deadline");
+        assert!(late <= STATED_LATENESS, "{engine}: 408 came {late:?} past the deadline");
+    }
+}
+
+/// An 8-job batch at the ceiling is only as late as the jobs running at
+/// the deadline: the jobs not yet started never start.
+#[test]
+#[ignore = "release timing tier: run via ci.sh"]
+fn an_8_job_batch_at_the_ceiling_answers_408_within_the_stated_lateness() {
+    let jobs: Vec<String> = (0..8)
+        .map(|seed| {
+            let mut wire = ceiling_job("latin-hypercube");
+            wire.inputs = normals(2);
+            wire.budget = COST_CEILING as usize * 2 / 9;
+            wire.seed = seed;
+            assert!(job_cost(&wire) <= COST_CEILING);
+            json::to_string(&wire)
+        })
+        .collect();
+    let body = format!("{{\"jobs\":[{}]}}", jobs.join(","));
+    let (status, late) = lateness_of("/v1/propagate/batch", &body);
+    eprintln!("8-job batch: {status} {late:?} past the deadline");
+    assert_eq!(status, 408);
+    assert!(late <= STATED_LATENESS, "the batch's 408 came {late:?} past the deadline");
 }
 
 /// First value of a non-comment exposition line whose metric name
