@@ -70,16 +70,18 @@ echo "== verify tier (bounded-exhaustive, release) =="
 # ordinary test tier above.
 cargo test -q --release --offline --test verify_exhaustive -- --ignored
 
-echo "== engine kernel floor (chunked vs scalar, release) =="
+echo "== engine kernel floors (chunked vs scalar, select vs sort; release) =="
 # The chunked struct-of-arrays driver must run Monte Carlo and Latin
 # hypercube at least 2x as fast as the scalar reference path on both
-# paper models. Both paths run on one thread and the best of five runs
-# is compared, so the ratio measures this build's kernels, not the
-# host. #[ignore]-gated: a debug build compresses the ratio.
+# paper models, and the engines' quantile selection must answer the
+# default levels at least 2x as fast as sorting the outputs, at
+# n = 4,000 and 16,384. Both sides of each ratio run on one thread and
+# the best of five runs is compared, so the ratios measure this build's
+# kernels, not the host. #[ignore]-gated: a debug build compresses them.
 cargo test -q --release --offline --test engine_chunked -- --ignored
 
 echo "== 408 lateness at the cost ceiling (release) =="
-# With a 50 ms deadline, a job at the cost ceiling on each of the five
+# With a 10 ms deadline, a job at the cost ceiling on each of the five
 # engines, and an 8-job batch at the ceiling, must answer 408 within the
 # lateness crates/serve/PROTOCOL.md states (250 ms past the deadline).
 # Stages that make no model call cannot be cancelled, so the ceiling is

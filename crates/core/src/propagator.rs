@@ -37,7 +37,7 @@ use sysunc_evidence::{DsStructure, Interval};
 use sysunc_pce::{ChaosExpansion, PceInput};
 use sysunc_prob::dist::{Beta, Continuous, Exponential, Normal, Uniform};
 use sysunc_prob::rng::{RngCore, SeedableRng, StdRng};
-use sysunc_prob::stats::{RunningStats, SortedSample};
+use sysunc_prob::stats::{select_quantiles, RunningStats};
 use sysunc_sampling::{
     AlignedBuf, Design, LatinHypercubeDesign, RandomDesign, SoaMatrix, SobolDesign,
 };
@@ -423,16 +423,6 @@ impl ChunkedRun {
         outputs.iter().filter(|&&y| y > threshold).count() as f64
             / outputs.len().max(1) as f64
     }
-
-    /// Sorts the outputs once for repeated quantile queries.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the outputs contain NaN (e.g. a model
-    /// sampled out of its domain).
-    pub fn sorted(&self) -> Result<SortedSample> {
-        Ok(SortedSample::from_slice(self.outputs())?)
-    }
 }
 
 /// Evaluates rows `lo..lo + out.len()` of the input matrix into `out`,
@@ -461,7 +451,7 @@ fn run_chunk(
 /// scalar `sysunc_sampling::propagate` remains as the reference
 /// implementation it is tested against.
 ///
-/// Determinism: outputs, exceedance counts, min/max and sort-based
+/// Determinism: outputs, exceedance counts, min/max and type-7
 /// quantiles are **bit-identical** to the scalar path for any chunk
 /// width and thread count (same design values, same RNG consumption
 /// order, same elementwise transforms). The fused mean/variance merge
@@ -537,6 +527,18 @@ pub fn propagate_chunked(
     Ok(ChunkedRun { outputs, stats })
 }
 
+/// `(level, point)` for every requested level, selected in place from
+/// `outputs` ([`select_quantiles`]: no sort, no copy). With no levels
+/// the outputs are not read, so NaN outputs still yield a
+/// (quantile-free) report.
+fn point_quantiles(outputs: &mut [f64], levels: &[f64]) -> Result<Vec<(f64, Interval)>> {
+    if levels.is_empty() {
+        return Ok(Vec::new());
+    }
+    let values = select_quantiles(outputs, levels)?;
+    Ok(levels.iter().zip(values).map(|(&p, q)| (p, Interval::degenerate(q))).collect())
+}
+
 /// Shared implementation for the three design-of-experiment engines, on
 /// top of the chunked driver.
 fn sampling_report(
@@ -552,7 +554,7 @@ fn sampling_report(
         .collect::<Result<_>>()?;
     let refs: Vec<&dyn Continuous> = dists.iter().map(Box::as_ref).collect();
     let mut rng = StdRng::seed_from_u64(request.seed);
-    let run = propagate_chunked(
+    let mut run = propagate_chunked(
         &refs,
         design,
         request.model,
@@ -560,18 +562,12 @@ fn sampling_report(
         ChunkOptions::auto(request.budget),
         &mut rng,
     )?;
-    // Sort once, answer every level — but only when levels were asked
-    // for, so NaN outputs still yield a (quantile-free) report.
-    let quantiles = if request.quantile_levels.is_empty() {
-        Vec::new()
-    } else {
-        let sorted = run.sorted()?;
-        request
-            .quantile_levels
-            .iter()
-            .map(|&p| (p, Interval::degenerate(sorted.interpolated(p))))
-            .collect()
-    };
+    let exceedance = request
+        .threshold
+        .map(|t| Interval::degenerate(run.exceedance_probability(t)));
+    // The run is not read in design order after this: selection
+    // permutes its outputs in place.
+    let quantiles = point_quantiles(run.outputs.as_mut_slice(), &request.quantile_levels)?;
     Ok(PropagationReport {
         engine,
         means,
@@ -579,9 +575,7 @@ fn sampling_report(
         mean: Interval::degenerate(run.mean()),
         variance: Interval::degenerate(run.variance()),
         quantiles,
-        exceedance: request
-            .threshold
-            .map(|t| Interval::degenerate(run.exceedance_probability(t))),
+        exceedance,
         evaluations: run.outputs().len(),
     })
 }
@@ -685,24 +679,13 @@ impl Propagator for SpectralEngine {
         let points = LatinHypercubeDesign
             .generate(n, inputs.len(), &mut rng)
             .map_err(Error::Sampling)?;
-        let outputs: Vec<f64> = points.iter().map(|u| pce.eval_u(u)).collect();
-        let quantiles = if request.quantile_levels.is_empty() {
-            Vec::new()
-        } else {
-            // One sort shared by every level (same routine as the
-            // sampling engines).
-            let sorted = SortedSample::from_slice(&outputs)?;
-            request
-                .quantile_levels
-                .iter()
-                .map(|&p| (p, Interval::degenerate(sorted.interpolated(p))))
-                .collect()
-        };
+        let mut outputs: Vec<f64> = points.iter().map(|u| pce.eval_u(u)).collect();
         let exceedance = request.threshold.map(|t| {
             let freq = outputs.iter().filter(|&&y| y > t).count() as f64
                 / outputs.len().max(1) as f64;
             Interval::degenerate(freq)
         });
+        let quantiles = point_quantiles(&mut outputs, &request.quantile_levels)?;
         Ok(PropagationReport {
             engine: self.name(),
             means: self.means(),
@@ -860,6 +843,7 @@ pub fn run_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sysunc_prob::stats::SortedSample;
 
     fn linear_request(model: &dyn Model) -> PropagationRequest<'_> {
         PropagationRequest::new(
@@ -1061,13 +1045,19 @@ mod tests {
                     // equality (documented in DESIGN.md).
                     assert!((run.mean() - scalar.mean()).abs() <= 1e-10);
                     assert!((run.variance() - scalar.variance()).abs() <= 1e-8);
-                    // Counts and sorted quantiles: bit-identical.
+                    // Counts and quantiles: bit-identical.
                     assert_eq!(
                         run.exceedance_probability(3.5).to_bits(),
                         scalar.exceedance_probability(3.5).to_bits()
                     );
                     assert_eq!(
-                        run.sorted().unwrap().interpolated(0.9).to_bits(),
+                        SortedSample::from_slice(run.outputs()).unwrap().interpolated(0.9).to_bits(),
+                        scalar.quantile(0.9).unwrap().to_bits()
+                    );
+                    let mut outputs = run.outputs().to_vec();
+                    let selected = point_quantiles(&mut outputs, &[0.9]).unwrap();
+                    assert_eq!(
+                        selected[0].1.lo().to_bits(),
                         scalar.quantile(0.9).unwrap().to_bits()
                     );
                 }
@@ -1091,7 +1081,19 @@ mod tests {
         )
         .unwrap();
         assert!(run.mean().is_nan());
-        assert!(run.sorted().is_err());
+        assert!(SortedSample::from_slice(run.outputs()).is_err());
+        let mut outputs = run.outputs().to_vec();
+        assert!(point_quantiles(&mut outputs, &[0.5]).is_err());
+        assert_eq!(point_quantiles(&mut outputs, &[]).unwrap(), vec![]);
+        // Through an engine: a quantile-free request still reports.
+        let req = PropagationRequest::new(vec![UncertainInput::Uniform { a: 0.0, b: 1.0 }], &nan_model)
+            .unwrap()
+            .with_budget(64);
+        assert!(MonteCarloEngine.propagate(&req).is_err());
+        let rep = MonteCarloEngine
+            .propagate(&req.with_quantile_levels(Vec::new()).unwrap())
+            .unwrap();
+        assert!(rep.mean_estimate().is_nan() && rep.quantiles.is_empty());
     }
 
     #[test]

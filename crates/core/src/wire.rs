@@ -190,11 +190,9 @@ impl ModelRegistry {
     /// (impossible for the built-in constants).
     pub fn standard() -> Result<Self> {
         let mut reg = Self::new();
-        reg.register("sum", Box::new(|x: &[f64]| x.iter().sum::<f64>()))?;
-        reg.register_with_inputs("linear-2x3y", 2, Box::new(|x: &[f64]| {
-            2.0 * x.first().copied().unwrap_or(0.0) + 3.0 * x.get(1).copied().unwrap_or(0.0)
-        }))?;
-        reg.register("product", Box::new(|x: &[f64]| x.iter().product::<f64>()))?;
+        reg.register("sum", Box::new(SumModel))?;
+        reg.register_with_inputs("linear-2x3y", 2, Box::new(Linear2x3yModel))?;
+        reg.register("product", Box::new(ProductModel))?;
         reg.register_with_inputs(
             "orbital-period",
             3,
@@ -211,6 +209,64 @@ impl ModelRegistry {
             Box::new(sysunc_perception::MissedHazardModel::paper_camera()?),
         )?;
         Ok(reg)
+    }
+}
+
+/// Folds whole columns into `out` the way `Iterator::sum` and
+/// `Iterator::product` fold one row: from the empty fold's value, one
+/// column at a time, accumulator on the left — the same float
+/// operations in the same order as the row fold, so bit-identical.
+fn fold_columns(columns: &[&[f64]], out: &mut [f64], empty: f64, op: impl Fn(f64, f64) -> f64) {
+    let rows = out.len();
+    out.fill(empty);
+    for column in columns {
+        for (y, &x) in out.iter_mut().zip(&column[..rows]) {
+            *y = op(*y, x);
+        }
+    }
+}
+
+/// The registry's `sum`: `Σ xᵢ` over any number of inputs.
+struct SumModel;
+
+impl Model for SumModel {
+    fn eval(&self, x: &[f64]) -> f64 {
+        x.iter().sum::<f64>()
+    }
+
+    fn eval_batch(&self, columns: &[&[f64]], out: &mut [f64]) {
+        fold_columns(columns, out, self.eval(&[]), |sum, x| sum + x);
+    }
+}
+
+/// The registry's `product`: `Π xᵢ` over any number of inputs.
+struct ProductModel;
+
+impl Model for ProductModel {
+    fn eval(&self, x: &[f64]) -> f64 {
+        x.iter().product::<f64>()
+    }
+
+    fn eval_batch(&self, columns: &[&[f64]], out: &mut [f64]) {
+        fold_columns(columns, out, self.eval(&[]), |product, x| product * x);
+    }
+}
+
+/// The registry's `linear-2x3y`: `2 x₀ + 3 x₁`.
+struct Linear2x3yModel;
+
+impl Model for Linear2x3yModel {
+    fn eval(&self, x: &[f64]) -> f64 {
+        2.0 * x.first().copied().unwrap_or(0.0) + 3.0 * x.get(1).copied().unwrap_or(0.0)
+    }
+
+    fn eval_batch(&self, columns: &[&[f64]], out: &mut [f64]) {
+        // The registry admits exactly two inputs.
+        assert!(columns.len() >= 2, "linear-2x3y needs [x0, x1]");
+        let (x0, x1) = (&columns[0][..out.len()], &columns[1][..out.len()]);
+        for ((y, &a), &b) in out.iter_mut().zip(x0).zip(x1) {
+            *y = 2.0 * a + 3.0 * b;
+        }
     }
 }
 
@@ -732,6 +788,78 @@ mod tests {
         let linear = reg.get("linear-2x3y").expect("registered");
         assert_eq!(linear.eval(&[1.0, 1.0]), 5.0);
         assert!(reg.get("unknown").is_none());
+    }
+
+    /// Values that expose a kernel doing other float operations than
+    /// `eval`: signed zeros, infinities, NaN, subnormals, the ends of
+    /// the normal range, and values whose sums and products round.
+    const AWKWARD: [f64; 16] = [
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        5e-324,
+        -2.2e-308,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        1.5,
+        -3.25,
+        0.1,
+        1.0 / 3.0,
+        0.7,
+        123.456,
+        -2.9e-3,
+    ];
+
+    /// `width` columns of `rows` values, cycling through [`AWKWARD`] at
+    /// a different stride per column so every row mixes them.
+    fn awkward_columns(width: usize, rows: usize) -> Vec<Vec<f64>> {
+        (0..width)
+            .map(|j| (0..rows).map(|i| AWKWARD[(i * (2 * j + 1) + j) % AWKWARD.len()]).collect())
+            .collect()
+    }
+
+    #[test]
+    fn closed_form_models_evaluate_columns_bit_identically_to_rows() {
+        let reg = ModelRegistry::standard().expect("builds");
+        let rows = 150;
+        for (name, widths) in [("sum", 1..=5), ("product", 1..=5), ("linear-2x3y", 2..=3)] {
+            let model = reg.get(name).expect("registered");
+            for width in widths {
+                let columns = awkward_columns(width, rows);
+                let views: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+                let mut out = vec![7.0; rows];
+                model.eval_batch(&views, &mut out);
+                for (i, y) in out.iter().enumerate() {
+                    let row: Vec<f64> = columns.iter().map(|c| c[i]).collect();
+                    assert_eq!(
+                        y.to_bits(),
+                        model.eval(&row).to_bits(),
+                        "{name} over {width} columns, row {i}: {row:?}"
+                    );
+                }
+            }
+        }
+        // Every value of a single column passes through `sum` and
+        // `product` untouched, -0.0 included.
+        for name in ["sum", "product"] {
+            let model = reg.get(name).expect("registered");
+            let column = [-0.0, -0.0, 5e-324, f64::NEG_INFINITY];
+            let mut out = [1.0; 4];
+            model.eval_batch(&[&column], &mut out);
+            let bits: Vec<u64> = out.iter().map(|y| y.to_bits()).collect();
+            let expected: Vec<u64> = column.iter().map(|y| y.to_bits()).collect();
+            assert_eq!(bits, expected, "{name} of one column");
+        }
+        assert_eq!(reg.get("sum").expect("registered").eval(&[-0.0]).to_bits(), (-0.0f64).to_bits());
+        // No columns: the empty fold, as `eval(&[])` gives it.
+        for name in ["sum", "product"] {
+            let model = reg.get(name).expect("registered");
+            let mut out = [7.0; 3];
+            model.eval_batch(&[], &mut out);
+            assert!(out.iter().all(|y| y.to_bits() == model.eval(&[]).to_bits()), "{name}");
+        }
     }
 
     #[test]

@@ -87,8 +87,10 @@ pub fn excess_kurtosis(xs: &[f64]) -> Result<f64> {
 
 /// A sample sorted once, answering arbitrarily many quantile queries
 /// without re-sorting — the single source of truth for every sort-based
-/// quantile in the workspace ([`quantile`], the ECDF inverse, and the
-/// propagation engines' per-level quantile loops all delegate here).
+/// quantile in the workspace ([`quantile`], the ECDF inverse and the
+/// scalar reference path delegate here). The propagation engines read
+/// only a few ranks, so they use [`select_quantiles`] instead, which
+/// shares this type's interpolation and agrees with it bit for bit.
 ///
 /// # Examples
 ///
@@ -122,12 +124,7 @@ impl SortedSample {
     /// Returns [`ProbError::EmptyData`] for empty input or
     /// [`ProbError::InvalidParameter`] when the sample contains NaN.
     pub fn from_vec(mut xs: Vec<f64>) -> Result<Self> {
-        if xs.is_empty() {
-            return Err(ProbError::EmptyData);
-        }
-        if xs.iter().any(|x| x.is_nan()) {
-            return Err(ProbError::InvalidParameter("sample contains NaN".into()));
-        }
+        check_sample(&xs)?;
         // NaN was rejected above, so `partial_cmp` is total here.
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         Ok(Self { sorted: xs })
@@ -152,11 +149,8 @@ impl SortedSample {
     /// Interpolated quantile between order statistics (Hyndman–Fan
     /// type 7, the R/NumPy default). `p` is clamped to `[0, 1]`.
     pub fn interpolated(&self, p: f64) -> f64 {
-        debug_assert!((0.0..=1.0).contains(&p), "quantile level {p} outside [0,1]");
-        let h = (self.sorted.len() - 1) as f64 * p.clamp(0.0, 1.0);
-        let lo = h.floor() as usize;
-        let hi = h.ceil() as usize;
-        self.sorted[lo] + (h - lo as f64) * (self.sorted[hi] - self.sorted[lo])
+        let at = Type7::new(self.sorted.len(), p);
+        at.interpolate(self.sorted[at.lo], self.sorted[at.hi])
     }
 
     /// Smallest order statistic with empirical CDF at least `p`
@@ -179,6 +173,113 @@ impl SortedSample {
         let below_or_equal = self.sorted.partition_point(|&v| v <= threshold);
         (self.sorted.len() - below_or_equal) as f64 / self.sorted.len() as f64
     }
+}
+
+/// The sample contract of every quantile routine here: non-empty and
+/// NaN-free.
+fn check_sample(xs: &[f64]) -> Result<()> {
+    if xs.is_empty() {
+        return Err(ProbError::EmptyData);
+    }
+    if xs.iter().any(|x| x.is_nan()) {
+        return Err(ProbError::InvalidParameter("sample contains NaN".into()));
+    }
+    Ok(())
+}
+
+/// Where a Hyndman–Fan type-7 quantile sits in a sample of `n`: the
+/// fractional position `h = (n - 1) p` and the ranks either side of it.
+#[derive(Debug, Clone, Copy)]
+struct Type7 {
+    h: f64,
+    lo: usize,
+    hi: usize,
+}
+
+impl Type7 {
+    /// Position of level `p` (clamped to `[0, 1]`) among `n >= 1`
+    /// order statistics.
+    fn new(n: usize, p: f64) -> Self {
+        debug_assert!((0.0..=1.0).contains(&p), "quantile level {p} outside [0,1]");
+        let h = (n - 1) as f64 * p.clamp(0.0, 1.0);
+        Self { h, lo: h.floor() as usize, hi: h.ceil() as usize }
+    }
+
+    /// Linear interpolation between the order statistics at ranks `lo`
+    /// and `hi` — the one expression both quantile paths evaluate.
+    fn interpolate(self, lo: f64, hi: f64) -> f64 {
+        lo + (self.h - self.lo as f64) * (hi - lo)
+    }
+}
+
+/// Hyndman–Fan type-7 quantiles of `xs` at every level of `levels`,
+/// found by selection instead of a sort. Returns one value per level, in
+/// the order given, bit-identical to [`SortedSample::interpolated`] on
+/// the same sample.
+///
+/// Each distinct lower rank is placed by `select_nth_unstable_by`,
+/// middle rank first: the ranks below it are then selected only in the
+/// part of `xs` left of it and the ranks above only in the part right of
+/// it, so `k` ranks cost O(n log k) instead of the sort's O(n log n).
+/// The upper rank of a level is the minimum of the part right of its
+/// lower rank, up to and including the next rank already in place.
+///
+/// Selection orders by [`f64::total_cmp`], which puts `-0.0` before
+/// `+0.0` where the stable sort keeps tied zeros in input order, so a
+/// selected rank may hold the other zero (no other values that compare
+/// equal differ in their bits, NaN being rejected). The interpolation
+/// cannot tell: a zero next to a non-zero `x` enters it only through
+/// `x - (±0) = x` or `(±0) - x = -x`, and with zeros at both ranks it
+/// returns `+0.0` whatever their signs.
+///
+/// # Errors
+///
+/// The errors of [`SortedSample::from_vec`]: [`ProbError::EmptyData`]
+/// for empty input, [`ProbError::InvalidParameter`] when `xs` contains
+/// NaN. Either way `xs` is left untouched.
+///
+/// # Examples
+///
+/// ```
+/// use sysunc_prob::stats::{select_quantiles, SortedSample};
+/// let mut xs = vec![4.0, 1.0, 3.0, 2.0];
+/// let sorted = SortedSample::from_slice(&xs)?;
+/// let picked = select_quantiles(&mut xs, &[0.5, 0.1])?;
+/// assert_eq!(picked, vec![sorted.interpolated(0.5), sorted.interpolated(0.1)]);
+/// # Ok::<(), sysunc_prob::ProbError>(())
+/// ```
+pub fn select_quantiles(xs: &mut [f64], levels: &[f64]) -> Result<Vec<f64>> {
+    check_sample(xs)?;
+    let n = xs.len();
+    let positions: Vec<Type7> = levels.iter().map(|&p| Type7::new(n, p)).collect();
+    let mut ranks: Vec<usize> = positions.iter().map(|at| at.lo).collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    // The order statistics at `ranks[i]` and `ranks[i] + 1`.
+    let mut placed = vec![(0.0, 0.0); ranks.len()];
+    // A task places `ranks[a..b]`, which all lie in `xs[start..end]`;
+    // that part holds exactly the order statistics of ranks
+    // `start..end`, and `xs[end]`, when it exists, is already in place.
+    let mut tasks = vec![(0, ranks.len(), 0, n)];
+    while let Some((a, b, start, end)) = tasks.pop() {
+        if a == b {
+            continue;
+        }
+        let m = a + (b - a) / 2;
+        let rank = ranks[m];
+        xs[start..end].select_nth_unstable_by(rank - start, f64::total_cmp);
+        let next = xs[rank + 1..n.min(end + 1)].iter().copied().fold(f64::INFINITY, f64::min);
+        placed[m] = (xs[rank], next);
+        tasks.push((a, m, start, rank));
+        tasks.push((m + 1, b, rank + 1, end));
+    }
+    Ok(positions
+        .iter()
+        .map(|at| {
+            let (lo, next) = placed[ranks.partition_point(|&r| r < at.lo)];
+            at.interpolate(lo, if at.hi > at.lo { next } else { lo })
+        })
+        .collect())
 }
 
 /// Empirical quantile with linear interpolation between order statistics
@@ -431,6 +532,46 @@ mod tests {
         assert!(SortedSample::from_slice(&[]).is_err());
         assert!(SortedSample::from_vec(vec![1.0, f64::NAN]).is_err());
         assert!(quantile(&[1.0, f64::NAN], 0.5).is_err());
+    }
+
+    #[test]
+    fn selection_matches_the_sort_on_every_small_sample_of_signed_zeros() {
+        // Bounded-exhaustive: every sample of up to six values over
+        // {-1, -0, +0, 1}, so every arrangement of tied zeros of both
+        // signs reaches the selected ranks, at levels that land on ranks
+        // and between them.
+        let alphabet = [-1.0, -0.0, 0.0, 1.0];
+        let levels: Vec<f64> =
+            (0..=20).map(|k| f64::from(k) / 20.0).chain([1e-12, 0.37, 1.0 - 1e-12]).collect();
+        for n in 1..=6u32 {
+            for code in 0..4usize.pow(n) {
+                let xs: Vec<f64> =
+                    (0..n).map(|i| alphabet[code / 4usize.pow(i) % 4]).collect();
+                let sorted = SortedSample::from_slice(&xs).unwrap();
+                let picked = select_quantiles(&mut xs.clone(), &levels).unwrap();
+                for (&p, q) in levels.iter().zip(&picked) {
+                    assert_eq!(q.to_bits(), sorted.interpolated(p).to_bits(), "{xs:?} at {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn selection_rejects_what_the_sort_rejects_and_leaves_the_buffer() {
+        assert_eq!(
+            select_quantiles(&mut [], &[0.5]).unwrap_err(),
+            SortedSample::from_slice(&[]).unwrap_err()
+        );
+        let xs = [3.0, f64::NAN, 1.0, -0.0];
+        let mut buf = xs;
+        assert_eq!(
+            select_quantiles(&mut buf, &[0.5]).unwrap_err(),
+            SortedSample::from_slice(&xs).unwrap_err()
+        );
+        assert_eq!(buf.map(f64::to_bits), xs.map(f64::to_bits));
+        // No levels: nothing to answer, but the sample is still checked.
+        assert_eq!(select_quantiles(&mut [2.0, 1.0], &[]).unwrap(), Vec::<f64>::new());
+        assert!(select_quantiles(&mut [f64::NAN], &[]).is_err());
     }
 
     #[test]

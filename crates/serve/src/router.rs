@@ -246,7 +246,8 @@ const PCE_SAMPLE_BASE: u64 = 5;
 ///
 /// - `monte-carlo`, `sobol-qmc`: `budget × (inputs + 1)` — each input
 ///   column is generated and transformed, and the output column is
-///   evaluated, summed and sorted;
+///   evaluated and summed, and its quantiles selected (fitted when the
+///   engines still sorted it, so now a conservative price);
 /// - `latin-hypercube`: 3/2 of that, for the permutation behind each
 ///   stratified column;
 /// - `pce-spectral`, with `t` expansion terms (degree 5): `6^inputs`
@@ -782,6 +783,39 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), CANCEL_ROWS);
         assert!(out[..CANCEL_ROWS].iter().all(|y| !y.is_nan()));
         assert!(out[CANCEL_ROWS..].iter().all(|y| y.is_nan()));
+    }
+
+    #[test]
+    fn cancel_model_forwards_column_kernels_bit_identically_on_ragged_lengths() {
+        // The registry's column kernels (`sum`, `product`, `linear-2x3y`)
+        // see each 64-row block as a sub-slice; a last block shorter than
+        // CANCEL_ROWS must still match `eval` row by row.
+        let registry = ModelRegistry::standard().expect("builds");
+        let values = [-0.0, 0.0, f64::INFINITY, f64::NAN, 5e-324, 1.5, -3.25, 0.1, 1.0 / 3.0, 0.7];
+        for (name, widths) in [("sum", 1..=5), ("product", 1..=5), ("linear-2x3y", 2..=2)] {
+            let model = registry.get(name).expect("registered");
+            for width in widths {
+                for rows in [1, 63, 65, 130, 1000] {
+                    assert_ne!(rows % CANCEL_ROWS, 0);
+                    let column = |j: usize| -> Vec<f64> {
+                        (0..rows).map(|i| values[(i * (j + 3) + j) % values.len()]).collect()
+                    };
+                    let columns: Vec<Vec<f64>> = (0..width).map(column).collect();
+                    let cols: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+                    let mut guarded = vec![7.0; rows];
+                    CancelModel::new(model, CancelToken::with_deadline(far_future()))
+                        .eval_batch(&cols, &mut guarded);
+                    for (i, y) in guarded.iter().enumerate() {
+                        let row: Vec<f64> = columns.iter().map(|c| c[i]).collect();
+                        assert_eq!(
+                            y.to_bits(),
+                            model.eval(&row).to_bits(),
+                            "{name}, {width} columns, {rows} rows, row {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

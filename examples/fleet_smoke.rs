@@ -10,7 +10,7 @@
 //! `cargo build --release -p sysunc-serve` first (CI's tier-1 build
 //! provides it), then `cargo run --release --example fleet_smoke`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,12 +52,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ------------------------------------------------------------------
     // 2. Load + crash: clients hammer the front while shard 0 dies.
+    //    Each client holds its second call until the kill, so the kill
+    //    always lands under load: the whole load takes only a few
+    //    milliseconds and could otherwise end before the kill.
     // ------------------------------------------------------------------
     let completed = Arc::new(AtomicUsize::new(0));
+    let killed = Arc::new(AtomicBool::new(false));
     let (clients, calls) = (4, 10);
     let threads: Vec<_> = (0..clients)
         .map(|t| {
             let completed = Arc::clone(&completed);
+            let killed = Arc::clone(&killed);
             std::thread::spawn(move || -> Result<(), String> {
                 let mut client = HttpClient::connect_with_retry(
                     addr,
@@ -66,6 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 )
                 .map_err(|e| e.to_string())?;
                 for call in 0..calls {
+                    while call == 1 && !killed.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
                     let body = json::to_string(&wire((t * 1000 + call) as u64));
                     let response = client
                         .request("POST", "/v1/propagate", Some(&body))
@@ -90,6 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if !fleet.kill_shard(0) {
         return Err("crash injection found no child in slot 0".into());
     }
+    killed.store(true, Ordering::SeqCst);
 
     for t in threads {
         t.join().expect("client thread")?;

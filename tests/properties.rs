@@ -9,7 +9,10 @@ use sysunc::evidence::{DsStructure, Frame, FuzzyNumber, Interval, MassFunction};
 use sysunc::fta::{minimal_cut_sets, FaultTree, GateKind};
 use sysunc::prob::dist::{Continuous, LogNormal, Normal, Triangular, Uniform, Weibull};
 use sysunc::prob::info::{entropy, js_divergence, kl_divergence};
-use sysunc_prob::propcheck::{self, f64_range, prob_vec, u64_range, usize_range, vec_of};
+use sysunc::prob::stats::{select_quantiles, SortedSample};
+use sysunc_prob::propcheck::{
+    self, f64_range, one_of, prob_vec, u64_range, usize_range, vec_of, OneOf, Strategy as _,
+};
 use sysunc_prob::rng::{SeedableRng, StdRng};
 
 // ------------------------------------------------------------------
@@ -492,6 +495,74 @@ fn mpe_probability_bounded_by_evidence_probability() {
             let p_evidence = bn.evidence_probability(&[("b", "0")]).expect("query");
             assert!(p <= p_evidence + 1e-12, "MPE joint cannot exceed P(e)");
             assert_eq!(assignment[1], 0, "evidence is respected");
+        },
+    );
+}
+
+// ------------------------------------------------------------------
+// Order-statistic quantiles (sysunc-prob stats).
+// ------------------------------------------------------------------
+
+/// A sample value: one of a few tie-heavy atoms (signed zeros,
+/// infinities, the smallest subnormal) or a continuous draw.
+fn sample_value() -> OneOf<f64> {
+    const ATOMS: [f64; 8] = [f64::NEG_INFINITY, -1.5, -0.0, 0.0, 5e-324, 1.0, 2.0, f64::INFINITY];
+    one_of(vec![
+        usize_range(0..ATOMS.len()).map(|k| ATOMS[k]).boxed(),
+        f64_range(-100.0, 100.0).boxed(),
+    ])
+}
+
+/// A quantile level: one of the served defaults, the ends of `[0, 1]`
+/// and their nearest neighbours, or a uniform draw.
+fn quantile_level() -> OneOf<f64> {
+    const EDGES: [f64; 8] =
+        [0.0, 1e-12, 0.05, 0.5, 0.95, 1.0 - 1e-12, 1.0 - f64::EPSILON / 2.0, 1.0];
+    one_of(vec![
+        usize_range(0..EDGES.len()).map(|k| EDGES[k]).boxed(),
+        f64_range(0.0, 1.0).boxed(),
+    ])
+}
+
+/// Selection answers every level with the sort's bits — on tie-heavy
+/// samples with mixed signed zeros and infinities, for level lists in
+/// any order with repeats — and only permutes its buffer. A NaN
+/// anywhere gets the sort's error and leaves the buffer as it was.
+#[test]
+fn selected_quantiles_equal_the_sorted_sample_bit_for_bit() {
+    propcheck::check(
+        "selected_quantiles_equal_the_sorted_sample_bit_for_bit",
+        64,
+        (vec_of(sample_value(), 1..5000), vec_of(quantile_level(), 1..9), usize_range(0..5000)),
+        |(xs, levels, at)| {
+            let sorted = SortedSample::from_slice(xs).expect("non-empty and NaN-free");
+            let mut buf = xs.clone();
+            let picked = select_quantiles(&mut buf, levels).expect("non-empty and NaN-free");
+            assert_eq!(picked.len(), levels.len());
+            for (&p, q) in levels.iter().zip(&picked) {
+                assert_eq!(
+                    q.to_bits(),
+                    sorted.interpolated(p).to_bits(),
+                    "level {p}: selected {q}, sorted {}",
+                    sorted.interpolated(p)
+                );
+            }
+            let by_bits = |v: &[f64]| {
+                let mut bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+                bits.sort_unstable();
+                bits
+            };
+            assert_eq!(by_bits(&buf), by_bits(xs), "selection only permutes");
+
+            let mut poisoned = xs.clone();
+            poisoned.insert(at % (xs.len() + 1), f64::NAN);
+            let mut buf = poisoned.clone();
+            assert_eq!(
+                select_quantiles(&mut buf, levels).expect_err("NaN is refused"),
+                SortedSample::from_slice(&poisoned).expect_err("NaN is refused")
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&buf), bits(&poisoned), "a refused buffer is untouched");
         },
     );
 }

@@ -364,8 +364,11 @@ fn poison_bodies() -> [String; 2] {
 /// states it.
 const STATED_LATENESS: Duration = Duration::from_millis(250);
 
-/// The deadline of the release-timing tests.
-const TIGHT_DEADLINE: Duration = Duration::from_millis(50);
+/// The deadline of the release-timing tests: well inside the fastest
+/// job at the ceiling (40–63 ms uncancelled for the sampling engines on
+/// a 2-vCPU VM), so the deadline falls while every measured job still
+/// runs and each one must answer `408`.
+const TIGHT_DEADLINE: Duration = Duration::from_millis(10);
 
 fn normals(n: usize) -> Vec<UncertainInput> {
     vec![UncertainInput::Normal { mu: 0.0, sigma: 1.0 }; n]
@@ -389,7 +392,7 @@ fn ceiling_job(engine: &str) -> WireRequest {
     wire
 }
 
-/// Sends `body` to a fresh 50 ms-deadline server and returns the answer
+/// Sends `body` to a fresh `TIGHT_DEADLINE` server and returns the answer
 /// with the time it took past the deadline. Measurements hold a lock,
 /// so the two timing tests never share the CPU.
 fn lateness_of(path: &str, body: &str) -> (u16, Duration) {
@@ -417,7 +420,7 @@ fn every_engine_at_the_ceiling_answers_408_within_the_stated_lateness() {
     for engine in ENGINE_NAMES {
         let (status, late) = lateness_of("/v1/propagate", &json::to_string(&ceiling_job(engine)));
         eprintln!("{engine}: {status} {late:?} past the deadline");
-        assert_eq!(status, 408, "{engine} at the ceiling outlasts a 50 ms deadline");
+        assert_eq!(status, 408, "{engine} at the ceiling outlasts a 10 ms deadline");
         assert!(late <= STATED_LATENESS, "{engine}: 408 came {late:?} past the deadline");
     }
 }
