@@ -7,8 +7,9 @@
 //! Reads a `sysunc-tidy/3` findings document from stdin (or `--in
 //! FILE`), folds it into a `sysunc-bench-trend/1` record with per-rule
 //! allowed/baselined exception counts, and appends it as one JSON line
-//! to `--out` (default `BENCH_tidy_trend.json`) — printing it to stdout
-//! as well.
+//! to `--out` (default `BENCH_tidy_trend.json`) unless it equals the
+//! trajectory's last line — printing it to stdout either way. A rerun
+//! over an unchanged ledger leaves the file untouched.
 //!
 //! With `--fail-on-regression` the new record is compared against the
 //! last line already in the trajectory: any rule whose suppression
@@ -18,7 +19,7 @@
 use std::io::Read;
 use std::process::ExitCode;
 use sysunc::prob::json::parse;
-use sysunc_bench::trend::{suppression_regressions, trend_record};
+use sysunc_bench::trend::{appended, suppression_regressions, trend_record};
 
 fn main() -> ExitCode {
     let mut input_path: Option<String> = None;
@@ -89,15 +90,11 @@ fn main() -> ExitCode {
     let previous = existing.lines().rev().find(|l| !l.trim().is_empty()).map(str::to_string);
 
     println!("{record}");
-    let mut appended = existing;
-    if !appended.is_empty() && !appended.ends_with('\n') {
-        appended.push('\n');
-    }
-    appended.push_str(&record);
-    appended.push('\n');
-    if let Err(e) = std::fs::write(&out_path, appended) {
-        eprintln!("tidy_trend: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
+    if let Some(trajectory) = appended(&existing, &record) {
+        if let Err(e) = std::fs::write(&out_path, trajectory) {
+            eprintln!("tidy_trend: cannot write {out_path}: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     if fail_on_regression {

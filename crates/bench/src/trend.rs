@@ -154,6 +154,22 @@ pub fn suppression_regressions(
     Ok(findings)
 }
 
+/// The trajectory `existing` with `record` appended as its last line,
+/// or `None` when `record` already is the last non-empty line: a rerun
+/// over an unchanged ledger leaves the trajectory as it is.
+pub fn appended(existing: &str, record: &str) -> Option<String> {
+    if existing.lines().rev().find(|l| !l.trim().is_empty()) == Some(record) {
+        return None;
+    }
+    let mut out = existing.to_string();
+    if !out.is_empty() && !out.ends_with('\n') {
+        out.push('\n');
+    }
+    out.push_str(record);
+    out.push('\n');
+    Some(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,5 +255,18 @@ mod tests {
         // A record of the wrong schema is an error, not a silent pass.
         let foreign = parse(r#"{"schema":"other/9"}"#).expect("parses");
         assert!(suppression_regressions(&foreign, &base).is_err());
+    }
+
+    #[test]
+    fn a_record_equal_to_the_last_line_is_not_appended() {
+        let (a, b) = (r#"{"n":1}"#, r#"{"n":2}"#);
+        assert_eq!(appended("", a).as_deref(), Some("{\"n\":1}\n"), "first record");
+        let one = format!("{a}\n");
+        assert_eq!(appended(&one, a), None, "a rerun over the same ledger");
+        assert_eq!(appended(&format!("{a}\n\n"), a), None, "trailing blank lines");
+        assert_eq!(appended(&one, b), Some(format!("{a}\n{b}\n")), "a change");
+        assert_eq!(appended(a, b), Some(format!("{a}\n{b}\n")), "no final newline");
+        // Only the last line counts: returning to an older record appends.
+        assert_eq!(appended(&format!("{a}\n{b}\n"), a), Some(format!("{a}\n{b}\n{a}\n")));
     }
 }

@@ -15,59 +15,40 @@
 //! via `--serve-bin`, the `SYSUNC_SERVE_BIN` environment variable, or
 //! the supervisor's own build tree.
 
+use std::fmt::Display;
 use std::io::Read;
-use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 use sysunc_fleet::{Fleet, FleetConfig};
+
+/// The value after `flag`, parsed, or an error naming the flag.
+fn value<T: FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
+}
 
 fn parse_args(args: &[String]) -> Result<FleetConfig, String> {
     let mut config = FleetConfig::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--shards" => {
-                config.shards =
-                    value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?
-            }
-            "--addr" => config.addr = value("--addr")?,
-            "--serve-bin" => config.serve_bin = Some(PathBuf::from(value("--serve-bin")?)),
-            "--child-workers" => {
-                config.child_workers = value("--child-workers")?
-                    .parse()
-                    .map_err(|e| format!("--child-workers: {e}"))?
-            }
-            "--child-queue" => {
-                config.child_queue = value("--child-queue")?
-                    .parse()
-                    .map_err(|e| format!("--child-queue: {e}"))?
-            }
-            "--child-cache-capacity" => {
-                config.child_cache_capacity = value("--child-cache-capacity")?
-                    .parse()
-                    .map_err(|e| format!("--child-cache-capacity: {e}"))?
-            }
+        let flag = flag.as_str();
+        match flag {
+            "--shards" => config.shards = value(&mut it, flag)?,
+            "--addr" => config.addr = value(&mut it, flag)?,
+            "--serve-bin" => config.serve_bin = Some(value(&mut it, flag)?),
+            "--child-workers" => config.child_workers = value(&mut it, flag)?,
+            "--child-queue" => config.child_queue = value(&mut it, flag)?,
+            "--child-cache-capacity" => config.child_cache_capacity = value(&mut it, flag)?,
             "--child-cache-ttl-ms" => {
-                config.child_cache_ttl = Some(Duration::from_millis(
-                    value("--child-cache-ttl-ms")?
-                        .parse()
-                        .map_err(|e| format!("--child-cache-ttl-ms: {e}"))?,
-                ))
+                config.child_cache_ttl = Some(Duration::from_millis(value(&mut it, flag)?))
             }
-            "--max-connections" => {
-                config.max_connections = value("--max-connections")?
-                    .parse()
-                    .map_err(|e| format!("--max-connections: {e}"))?
-            }
+            "--max-connections" => config.max_connections = value(&mut it, flag)?,
             "--probe-interval-ms" => {
-                config.probe_interval = Duration::from_millis(
-                    value("--probe-interval-ms")?
-                        .parse()
-                        .map_err(|e| format!("--probe-interval-ms: {e}"))?,
-                )
+                config.probe_interval = Duration::from_millis(value(&mut it, flag)?)
             }
             other => return Err(format!("unknown flag '{other}'")),
         }

@@ -8,10 +8,15 @@
 //! `/healthz` probing), the router rides requests over restarts and
 //! ring-walks to fallback shards (tolerance), and crashed or wedged
 //! children are respawned under exponential backoff (removal). The
-//! front places every request on a shard by its
-//! [`sysunc::CanonicalRequest`] FNV-1a/64 content hash, so each
-//! shard's LRU response cache keeps its locality and repeated
-//! requests stay bit-identical, `X-Sysunc-Cache: hit` included.
+//! front is a handler on serve's transport loop
+//! ([`sysunc_serve::transport`]), so a shard and the front share one
+//! piece of tolerance machinery: connection cap, inline `503`, message
+//! limits and drain. It decodes every body as a shard would, answers
+//! the ones a shard would refuse with the same `400`, and places the
+//! rest on a shard by their [`sysunc::CanonicalRequest`] FNV-1a/64
+//! content hash, so each shard's LRU response cache keeps its locality
+//! and repeated requests stay bit-identical, `X-Sysunc-Cache: hit`
+//! included.
 //!
 //! ```no_run
 //! use sysunc_fleet::{Fleet, FleetConfig};

@@ -1,16 +1,19 @@
-//! The fleet front: terminates client connections and places every
-//! request on a shard by content hash.
+//! The fleet front: a [`Handler`] on serve's transport loop
+//! ([`sysunc_serve::transport`]), so it has a shard's connection cap,
+//! inline `503`, message limits and drain. Its per-connection state is
+//! the pool of backend connections, one per shard.
 //!
 //! Placement preserves the per-shard response-cache locality that
-//! makes sharding pay: a propagate body reduces to its
-//! [`CanonicalRequest`] FNV-1a/64 content hash — the same identity the
-//! child keys its LRU cache on — and `hash % shards` picks the shard,
-//! so a repeated request always lands where its answer is already
-//! cached. Batches fold every job's canonical bytes into one hash so
-//! the whole batch (and its intra-batch dedup) stays on one shard.
-//! Bodies that do not canonicalize are placed round-robin and the
-//! shard renders the `400` — error rendering stays single-sourced in
-//! serve.
+//! makes sharding pay. A propagate body is decoded as a shard decodes
+//! it (serve's [`decode_propagate_body`] over the standard registry
+//! every shard builds); its canonical FNV-1a/64 content hash — the key
+//! of the shard's LRU cache — modulo the shard count picks the shard,
+//! so a repeated request lands where its answer is cached. Batches fold
+//! every job's canonical bytes into one hash so the whole batch (and
+//! its intra-batch dedup) stays on one shard. A body that does not
+//! decode (bad JSON, an unknown engine or model, a wrong input count, a
+//! cost over the ceiling) is answered `400` at the front with the bytes
+//! a shard would send, and never reaches a shard.
 //!
 //! Forwarding is retried until the request deadline: a transport error
 //! invalidates the pooled backend connection, and the shard table is
@@ -22,20 +25,16 @@
 //!
 //! The front answers two routes itself: `GET /healthz` (fleet summary,
 //! no child touched) and `GET /metrics` (the `sysunc_fleet_*` series
-//! plus every child exposition summed shard-wise).
+//! plus every child exposition summed shard-wise). Discovery routes,
+//! unknown paths and wrong methods rotate across the shards.
 
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sysunc::prob::json::{self, FromJson, Json};
 use sysunc::wire::fnv1a64;
-use sysunc::{CanonicalRequest, WireRequest};
-use sysunc_serve::http::HttpConn;
-use sysunc_serve::router::{error_response, read_error_response, route};
-use sysunc_serve::{ConnectionLimiter, HttpClient, Request, Response, Route, ServeError};
+use sysunc_serve::router::{decode_batch_body, decode_propagate_body, error_response, route};
+use sysunc_serve::{Handler, HttpClient, Request, Response, Route};
 
 use crate::metrics::merge_expositions;
 use crate::supervisor::Shared;
@@ -48,148 +47,51 @@ const BACKEND_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 const RETRY_PAUSE: Duration = Duration::from_millis(10);
 
 /// A pooled connection to one shard, valid for one process generation.
-struct Backend {
+pub(crate) struct Backend {
     generation: u64,
     client: HttpClient,
 }
 
-/// The front accept loop: thread-per-connection behind a connection
-/// cap, exactly like the serve acceptor, shutting down when the fleet
-/// signal trips.
-pub(crate) fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let limiter = ConnectionLimiter::new(shared.config.max_connections);
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if shared.signal.is_triggered() {
-            break;
+impl Handler for Shared {
+    /// The connection's pooled backends, by shard slot.
+    type Conn = HashMap<usize, Backend>;
+
+    /// Answers the front's own routes and decode `400`s, and forwards
+    /// everything else to the shard its placement hash picks.
+    fn handle(&self, request: &Request, backends: &mut Self::Conn) -> Response {
+        match placement_hash(request, self) {
+            Ok(hash) => forward(hash, request, self, backends),
+            Err(answer) => answer,
         }
-        let Ok(stream) = stream else { continue };
-        connections.retain(|h| !h.is_finished());
-        let Some(permit) = limiter.try_acquire() else {
-            reject_connection(stream);
-            continue;
-        };
-        let conn_shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name("sysunc-fleet-conn".into())
-            .spawn(move || {
-                let _permit = permit;
-                handle_connection(stream, &conn_shared);
-            });
-        if let Ok(handle) = spawned {
-            connections.push(handle);
-        }
-    }
-    // In-flight requests finish against still-running children before
-    // the supervisor starts draining them.
-    for handle in connections {
-        let _ = handle.join();
     }
 }
 
-/// Answers a connection refused at the cap: `503 + Retry-After`, then
-/// close, bounded by a short write timeout.
-fn reject_connection(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let response = error_response(503, "fleet connection limit reached; retry shortly")
-        .with_header("Retry-After", "1");
-    let _ = response.write_to(&mut stream, false);
-}
-
-/// One client connection: keep-alive request loop, each request routed
-/// to a shard over this connection's pooled backend clients.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    let _ = stream.set_nodelay(true);
-    let mut conn = HttpConn::new(stream);
-    let mut backends: HashMap<usize, Backend> = HashMap::new();
-    loop {
-        let mut should_abort = || shared.signal.is_triggered();
-        match conn.read_request(&shared.config.limits, &mut should_abort) {
-            Ok(Some(request)) => {
-                let response = dispatch(&request, shared, &mut backends);
-                let keep_alive =
-                    request.wants_keep_alive() && !shared.signal.is_triggered();
-                let wrote = response.write_to(conn.stream_mut(), keep_alive).is_ok();
-                if !keep_alive || !wrote {
-                    break;
-                }
+/// The placement key for a request: the canonical content hash for a
+/// propagate body (cache locality), one FNV-1a/64 hash over every job's
+/// canonical bytes for a batch, and a rotating counter for routes any
+/// shard can answer. Routes are classified by serve's own table, so a
+/// query string changes neither who answers nor where a body is placed.
+/// `Err` carries the answer the front gives itself: its health summary,
+/// its merged metrics, or a decode `400`.
+fn placement_hash(request: &Request, shared: &Shared) -> Result<u64, Response> {
+    match route(&request.method, &request.target) {
+        Route::Healthz => Err(fleet_healthz(shared)),
+        Route::Metrics => Err(aggregate_metrics(shared)),
+        Route::Propagate => decode_propagate_body(&shared.registry, &request.body)
+            .map(|(_, canonical)| canonical.content_hash())
+            .map_err(|refused| *refused),
+        Route::PropagateBatch => {
+            let jobs =
+                decode_batch_body(&shared.registry, &request.body).map_err(|refused| *refused)?;
+            let mut folded = String::new();
+            for (_, canonical) in &jobs {
+                folded.push_str(canonical.bytes());
+                folded.push('\n');
             }
-            // Peer hung up between requests.
-            Ok(None) => break,
-            // Shutdown while idle or mid-read.
-            Err(ServeError::Timeout) => break,
-            Err(e) => {
-                if let Some(response) = read_error_response(&e) {
-                    let _ = response.write_to(conn.stream_mut(), false);
-                }
-                break;
-            }
+            Ok(fnv1a64(folded.as_bytes()))
         }
+        _ => Ok(shared.rotor.fetch_add(1, Ordering::Relaxed)),
     }
-}
-
-/// Routes one request: the two fleet-answered routes, then hash
-/// placement and forwarding for everything else. Routes are classified
-/// by serve's own table, so a query string changes neither who answers
-/// nor where a body is placed; unknown paths and wrong methods are
-/// forwarded for the shard to render its `404`/`405`.
-fn dispatch(
-    request: &Request,
-    shared: &Arc<Shared>,
-    backends: &mut HashMap<usize, Backend>,
-) -> Response {
-    let route = route(&request.method, &request.target);
-    match route {
-        Route::Healthz => fleet_healthz(shared),
-        Route::Metrics => aggregate_metrics(shared),
-        _ => {
-            let hash = placement_hash(route, request, shared);
-            forward(hash, request, shared, backends)
-        }
-    }
-}
-
-/// The placement key for a request: the canonical content hash for
-/// propagate bodies (cache locality), a folded per-job hash for
-/// batches, and a rotating counter for everything else — discovery
-/// routes any shard can answer, and bodies that fail to canonicalize
-/// (the shard renders the 400).
-fn placement_hash(route: Route, request: &Request, shared: &Arc<Shared>) -> u64 {
-    let hashed = match route {
-        Route::Propagate => propagate_hash(&request.body),
-        Route::PropagateBatch => batch_hash(&request.body),
-        _ => None,
-    };
-    hashed.unwrap_or_else(|| shared.rotor.fetch_add(1, Ordering::Relaxed))
-}
-
-/// The canonical content hash of one propagate body, when it parses.
-fn propagate_hash(body: &[u8]) -> Option<u64> {
-    let text = std::str::from_utf8(body).ok()?;
-    let wire: WireRequest = json::from_str(text).ok()?;
-    Some(CanonicalRequest::from_wire(&wire).ok()?.content_hash())
-}
-
-/// One hash for a whole batch: every job's canonical bytes folded
-/// through FNV-1a/64, so identical batches land on the same shard and
-/// intra-batch dedup stays intact.
-fn batch_hash(body: &[u8]) -> Option<u64> {
-    let text = std::str::from_utf8(body).ok()?;
-    let doc = json::parse(text).ok()?;
-    let jobs = doc.get("jobs").and_then(Json::as_arr)?;
-    if jobs.is_empty() {
-        return None;
-    }
-    let mut folded = String::new();
-    for job in jobs {
-        let wire = WireRequest::from_json(job).ok()?;
-        let canonical = CanonicalRequest::from_wire(&wire).ok()?;
-        folded.push_str(canonical.bytes());
-        folded.push('\n');
-    }
-    Some(fnv1a64(folded.as_bytes()))
 }
 
 /// Forwards a request to the shard owning `hash`, retrying across
@@ -200,7 +102,7 @@ fn batch_hash(body: &[u8]) -> Option<u64> {
 fn forward(
     hash: u64,
     request: &Request,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     backends: &mut HashMap<usize, Backend>,
 ) -> Response {
     let deadline = Instant::now() + shared.config.request_timeout;
@@ -283,7 +185,7 @@ fn relay(mut response: Response) -> Response {
 
 /// The fleet's own health summary — answered entirely at the front, no
 /// child is touched, so it stays honest even mid-restart.
-fn fleet_healthz(shared: &Arc<Shared>) -> Response {
+fn fleet_healthz(shared: &Shared) -> Response {
     let views = shared.table.views();
     let healthy = views.iter().filter(|v| v.healthy && v.addr.is_some()).count();
     let status = if healthy == views.len() { "ok" } else { "degraded" };
@@ -298,7 +200,7 @@ fn fleet_healthz(shared: &Arc<Shared>) -> Response {
 
 /// `GET /metrics` at the front: the `sysunc_fleet_*` series followed
 /// by every reachable child's exposition summed shard-wise.
-fn aggregate_metrics(shared: &Arc<Shared>) -> Response {
+fn aggregate_metrics(shared: &Shared) -> Response {
     let mut texts: Vec<String> = Vec::new();
     for view in shared.table.views() {
         let Some(addr) = view.addr else { continue };

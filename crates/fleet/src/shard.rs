@@ -123,12 +123,6 @@ impl ShardTable {
         None
     }
 
-    /// Any healthy slot, rotating with `tick` — used for discovery
-    /// routes (`/v1/engines`, `/v1/models`) that any shard can answer.
-    pub fn any_healthy(&self, tick: u64) -> Option<(usize, SlotView)> {
-        self.healthy_slot_for(tick)
-    }
-
     /// Views of every slot, in slot order.
     pub fn views(&self) -> Vec<SlotView> {
         (0..self.slots.len()).map(|i| self.view(i)).collect()

@@ -8,19 +8,23 @@
 //!    *handled* by a respawn — the paper's tolerance/removal pair at
 //!    process granularity).
 //! 2. **Health** — a `GET /healthz` probe (answered by the child on
-//!    its connection thread without a run permit) catches a process
-//!    that is alive but wedged; `unhealthy_after` consecutive failures
-//!    demote the shard and force a kill + respawn.
+//!    its connection thread without a run permit, within
+//!    `PROBE_TIMEOUT`) catches a process that is alive but wedged;
+//!    `UNHEALTHY_AFTER` consecutive failures demote the shard and force
+//!    a kill + respawn.
 //! 3. **Restart** — respawns back off exponentially
-//!    (`restart_backoff` doubling up to `max_backoff`) so a child
+//!    (`restart_backoff` doubling up to `MAX_BACKOFF`) so a child
 //!    that dies on boot cannot hot-loop the supervisor; a successful
 //!    respawn reinstalls the shard under a new generation, which tells
 //!    the router to drop its pooled connections to the dead process.
 //!
 //! Shutdown is ordered so in-flight client work finishes: the front
-//! stops accepting and its connection threads drain first, then the
-//! monitors stop, and only then are the children asked to drain
-//! (stdin close), with a kill fallback after `drain_timeout`.
+//! (serve's transport loop) stops accepting and its connection threads
+//! drain first, then the monitors stop, and only then are the children
+//! asked to drain (stdin close), with a kill fallback after
+//! `DRAIN_TIMEOUT`. One [`ShutdownSignal`] serves the whole process:
+//! the front's stop triggers it, and the monitors and the forwarding
+//! loop see it.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -29,14 +33,26 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sysunc_serve::http::Limits;
-use sysunc_serve::{HttpClient, ShutdownSignal};
+use sysunc::ModelRegistry;
+use sysunc_serve::{HttpClient, ShutdownSignal, Transport};
 
 use crate::child::{locate_serve_bin, ShardChild};
 use crate::error::{FleetError, Result};
 use crate::metrics::FleetMetrics;
-use crate::router::acceptor_loop;
 use crate::shard::ShardTable;
+
+/// Budget for one health probe (connect + `/healthz` response).
+const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Consecutive failed probes before a live child is declared wedged
+/// and recycled.
+const UNHEALTHY_AFTER: u32 = 2;
+
+/// Ceiling for the doubled respawn backoff.
+const MAX_BACKOFF: Duration = Duration::from_secs(1);
+
+/// How long a draining child may take before it is killed.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tunables of a [`Fleet`].
 #[derive(Debug, Clone)]
@@ -59,17 +75,8 @@ pub struct FleetConfig {
     pub child_cache_ttl: Option<Duration>,
     /// Delay between health probes of one shard.
     pub probe_interval: Duration,
-    /// Budget for one probe (connect + healthz response).
-    pub probe_timeout: Duration,
-    /// Consecutive failed probes before a live child is declared
-    /// wedged and recycled.
-    pub unhealthy_after: u32,
     /// First respawn backoff; doubles per consecutive failure.
     pub restart_backoff: Duration,
-    /// Ceiling for the doubled respawn backoff.
-    pub max_backoff: Duration,
-    /// How long a draining child may take before being killed.
-    pub drain_timeout: Duration,
     /// Budget for a child's startup handshake line.
     pub handshake_timeout: Duration,
     /// Concurrent front connections before 503-and-close.
@@ -77,10 +84,6 @@ pub struct FleetConfig {
     /// End-to-end deadline for routing one request, covering retries
     /// across a shard restart.
     pub request_timeout: Duration,
-    /// Front socket read poll interval; bounds shutdown latency.
-    pub poll_interval: Duration,
-    /// HTTP message size limits at the front.
-    pub limits: Limits,
 }
 
 impl Default for FleetConfig {
@@ -94,16 +97,10 @@ impl Default for FleetConfig {
             child_cache_capacity: 1024,
             child_cache_ttl: None,
             probe_interval: Duration::from_millis(50),
-            probe_timeout: Duration::from_millis(500),
-            unhealthy_after: 2,
             restart_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(1),
-            drain_timeout: Duration::from_secs(5),
             handshake_timeout: Duration::from_secs(10),
             max_connections: 128,
             request_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_millis(25),
-            limits: Limits::default(),
         }
     }
 }
@@ -128,16 +125,29 @@ impl FleetConfig {
     }
 }
 
-/// State shared between the router, the monitors, and the handle.
-#[derive(Debug)]
+/// State shared between the front's handler, the monitors, and the
+/// handle.
 pub(crate) struct Shared {
     pub(crate) table: ShardTable,
+    /// The registry every `sysunc-serve` shard builds; the front decodes
+    /// bodies over it to place them and to refuse the ones a shard
+    /// would refuse.
+    pub(crate) registry: ModelRegistry,
     pub(crate) metrics: Arc<FleetMetrics>,
     pub(crate) signal: ShutdownSignal,
     pub(crate) config: FleetConfig,
     /// Rotates discovery (`any shard`) placement across shards.
     pub(crate) rotor: AtomicU64,
     pub(crate) started: Instant,
+}
+
+impl std::fmt::Debug for Shared {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Shared")
+            .field("table", &self.table)
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
 }
 
 type ChildSlots = Arc<Vec<Mutex<Option<ShardChild>>>>;
@@ -182,24 +192,26 @@ impl Fleet {
             }
         }
 
-        let listener = std::net::TcpListener::bind(&config.addr)
-            .map_err(|e| FleetError::Io(format!("cannot bind {}: {e}", config.addr)))?;
-        let addr = listener.local_addr()?;
+        let registry = ModelRegistry::standard().map_err(|e| {
+            FleetError::Config(format!("cannot build the model registry: {e}"))
+        })?;
         let signal = ShutdownSignal::new();
         let shared = Arc::new(Shared {
             table,
+            registry,
             metrics: Arc::clone(&metrics),
             signal: signal.clone(),
             config,
             rotor: AtomicU64::new(0),
             started: Instant::now(),
         });
-
-        let acceptor_shared = Arc::clone(&shared);
-        let acceptor = std::thread::Builder::new()
-            .name("sysunc-fleet-acceptor".into())
-            .spawn(move || acceptor_loop(&listener, &acceptor_shared))
-            .map_err(|e| FleetError::Io(e.to_string()))?;
+        let front = Transport::start(
+            &shared.config.addr,
+            shared.config.max_connections,
+            signal,
+            Arc::clone(&shared),
+        )
+        .map_err(|e| FleetError::Io(format!("cannot bind {}: {e}", shared.config.addr)))?;
 
         let mut monitors = Vec::with_capacity(shards);
         for slot in 0..shards {
@@ -213,14 +225,7 @@ impl Fleet {
             monitors.push(handle);
         }
 
-        Ok(FleetHandle {
-            addr,
-            shared,
-            children,
-            metrics,
-            acceptor: Some(acceptor),
-            monitors,
-        })
+        Ok(FleetHandle { shared, children, metrics, front, monitors })
     }
 }
 
@@ -234,18 +239,17 @@ fn lock_child(m: &Mutex<Option<ShardChild>>) -> std::sync::MutexGuard<'_, Option
 /// shutdown control.
 #[derive(Debug)]
 pub struct FleetHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     children: ChildSlots,
     metrics: Arc<FleetMetrics>,
-    acceptor: Option<JoinHandle<()>>,
+    front: Transport,
     monitors: Vec<JoinHandle<()>>,
 }
 
 impl FleetHandle {
     /// The front's bound address (with the resolved ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// The fleet-level metrics registry.
@@ -300,10 +304,8 @@ impl FleetHandle {
     fn shutdown_inner(&mut self) {
         // 1. Stop the front: no new connections; in-flight requests on
         //    connection threads finish against still-running children.
-        self.shared.signal.trigger_and_wake(self.addr);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
+        //    This also trips the signal the monitors watch.
+        self.front.stop();
         // 2. Stop the monitors so nothing respawns what we drain next.
         for handle in self.monitors.drain(..) {
             let _ = handle.join();
@@ -311,7 +313,7 @@ impl FleetHandle {
         // 3. Drain the children (stdin close), kill stragglers.
         for m in self.children.iter() {
             if let Some(child) = lock_child(m).take() {
-                child.drain(self.shared.config.drain_timeout);
+                child.drain(DRAIN_TIMEOUT);
             }
         }
     }
@@ -344,8 +346,8 @@ fn sleep_unless_shutdown(shared: &Shared, total: Duration) -> bool {
 }
 
 /// One `GET /healthz` probe against a shard.
-fn probe(addr: SocketAddr, timeout: Duration) -> bool {
-    match HttpClient::connect_with_timeout(addr, timeout) {
+fn probe(addr: SocketAddr) -> bool {
+    match HttpClient::connect_with_timeout(addr, PROBE_TIMEOUT) {
         Ok(mut client) => matches!(client.get("/healthz"), Ok(r) if r.status == 200),
         Err(_) => false,
     }
@@ -378,7 +380,7 @@ fn respawn(
                 return true;
             }
             Err(_) => {
-                backoff = (backoff * 2).min(shared.config.max_backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
             }
         }
     }
@@ -411,15 +413,14 @@ fn monitor_loop(
             continue;
         }
         let addr = shared.table.view(slot).addr;
-        let healthy =
-            addr.map(|a| probe(a, shared.config.probe_timeout)).unwrap_or(false);
+        let healthy = addr.map(probe).unwrap_or(false);
         if healthy {
             failed_probes = 0;
             shared.table.mark_healthy(slot);
         } else {
             shared.metrics.probe_failed();
             failed_probes += 1;
-            if failed_probes >= shared.config.unhealthy_after.max(1) {
+            if failed_probes >= UNHEALTHY_AFTER {
                 // Alive but wedged: recycle the process.
                 shared.table.mark_unhealthy(slot);
                 if let Some(m) = children.get(slot) {

@@ -22,8 +22,10 @@
 //! operator console) while the stdout `listening on <addr>` handshake
 //! line — the supervisor's readiness signal — is kept.
 
+use std::fmt::Display;
 use std::io::Read;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 use sysunc::ModelRegistry;
 use sysunc_serve::{Server, ServerConfig};
@@ -34,54 +36,31 @@ struct Args {
     child: bool,
 }
 
+/// The value after `flag`, parsed, or an error naming the flag.
+fn value<T: FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut config = ServerConfig::default();
     let mut child = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--queue" => {
-                config.queue_capacity = value("--queue")?
-                    .parse()
-                    .map_err(|e| format!("--queue: {e}"))?
-            }
-            "--timeout-ms" => {
-                config.request_timeout = Duration::from_millis(
-                    value("--timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--timeout-ms: {e}"))?,
-                )
-            }
-            "--max-connections" => {
-                config.max_connections = value("--max-connections")?
-                    .parse()
-                    .map_err(|e| format!("--max-connections: {e}"))?
-            }
-            "--cache-capacity" => {
-                config.cache_capacity = value("--cache-capacity")?
-                    .parse()
-                    .map_err(|e| format!("--cache-capacity: {e}"))?
-            }
-            "--cache-shards" => {
-                config.cache_shards = value("--cache-shards")?
-                    .parse()
-                    .map_err(|e| format!("--cache-shards: {e}"))?
-            }
+        let flag = flag.as_str();
+        match flag {
+            "--addr" => config.addr = value(&mut it, flag)?,
+            "--workers" => config.workers = value(&mut it, flag)?,
+            "--queue" => config.queue_capacity = value(&mut it, flag)?,
+            "--timeout-ms" => config.request_timeout = Duration::from_millis(value(&mut it, flag)?),
+            "--max-connections" => config.max_connections = value(&mut it, flag)?,
+            "--cache-capacity" => config.cache_capacity = value(&mut it, flag)?,
+            "--cache-shards" => config.cache_shards = value(&mut it, flag)?,
             "--cache-ttl-ms" => {
-                config.cache_ttl = Some(Duration::from_millis(
-                    value("--cache-ttl-ms")?
-                        .parse()
-                        .map_err(|e| format!("--cache-ttl-ms: {e}"))?,
-                ))
+                config.cache_ttl = Some(Duration::from_millis(value(&mut it, flag)?))
             }
             "--child" => child = true,
             other => return Err(format!("unknown flag '{other}'")),

@@ -8,7 +8,8 @@
 //! JSON encode/decode of the propagate route.
 
 use crate::error::{Result, ServeError};
-use crate::http::{HttpConn, Limits, Response};
+use crate::http::{HttpConn, Response};
+use crate::transport::{LIMITS, POLL_INTERVAL};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -59,7 +60,6 @@ impl Default for RetryPolicy {
 #[derive(Debug)]
 pub struct HttpClient {
     conn: HttpConn<TcpStream>,
-    limits: Limits,
     timeout: Duration,
 }
 
@@ -79,10 +79,15 @@ impl HttpClient {
     ///
     /// Propagates connect failures as [`ServeError::Io`].
     pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> Result<Self> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_read_timeout(Some(Duration::from_millis(25)))?;
+        Self::over(TcpStream::connect_timeout(&addr, timeout)?, timeout)
+    }
+
+    /// A client over a connected stream, polling the response deadline
+    /// every [`POLL_INTERVAL`].
+    fn over(stream: TcpStream, timeout: Duration) -> Result<Self> {
+        stream.set_read_timeout(Some(POLL_INTERVAL))?;
         stream.set_nodelay(true)?;
-        Ok(Self { conn: HttpConn::new(stream), limits: Limits::default(), timeout })
+        Ok(Self { conn: HttpConn::new(stream), timeout })
     }
 
     /// Overrides the per-response timeout for subsequent requests —
@@ -109,15 +114,7 @@ impl HttpClient {
         let attempts = policy.attempts.max(1);
         for attempt in 1..=attempts {
             match TcpStream::connect_timeout(&addr, timeout) {
-                Ok(stream) => {
-                    stream.set_read_timeout(Some(Duration::from_millis(25)))?;
-                    stream.set_nodelay(true)?;
-                    return Ok(Self {
-                        conn: HttpConn::new(stream),
-                        limits: Limits::default(),
-                        timeout,
-                    });
-                }
+                Ok(stream) => return Self::over(stream, timeout),
                 Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
                     if attempt == attempts {
                         return Err(ServeError::Io(format!(
@@ -158,8 +155,7 @@ impl HttpClient {
         stream.write_all(body.as_bytes())?;
         stream.flush()?;
         let deadline = Instant::now() + self.timeout;
-        self.conn
-            .read_response(&self.limits, &mut || Instant::now() >= deadline)
+        self.conn.read_response(&LIMITS, &mut || Instant::now() >= deadline)
     }
 
     /// `GET` a route.
@@ -180,17 +176,7 @@ impl HttpClient {
     /// the status and the server's error body; transport failures as
     /// in [`HttpClient::request`].
     pub fn propagate(&mut self, wire: &WireRequest) -> Result<PropagationReport> {
-        let body = json::to_string(wire);
-        let response = self.request("POST", "/v1/propagate", Some(&body))?;
-        if response.status != 200 {
-            return Err(ServeError::Protocol(format!(
-                "propagate returned {}: {}",
-                response.status,
-                response.body_text()
-            )));
-        }
-        json::from_str(&response.body_text())
-            .map_err(|e| ServeError::Protocol(format!("undecodable report: {e}")))
+        self.propagate_traced(wire).map(|(report, _)| report)
     }
 
     /// Runs a [`WireRequest`] through `POST /v1/propagate` and returns
@@ -206,14 +192,7 @@ impl HttpClient {
         wire: &WireRequest,
     ) -> Result<(PropagationReport, Option<String>)> {
         let body = json::to_string(wire);
-        let response = self.request("POST", "/v1/propagate", Some(&body))?;
-        if response.status != 200 {
-            return Err(ServeError::Protocol(format!(
-                "propagate returned {}: {}",
-                response.status,
-                response.body_text()
-            )));
-        }
+        let response = ok(self.request("POST", "/v1/propagate", Some(&body))?, "propagate")?;
         let verdict = response.header("X-Sysunc-Cache").map(str::to_string);
         let report = json::from_str(&response.body_text())
             .map_err(|e| ServeError::Protocol(format!("undecodable report: {e}")))?;
@@ -240,14 +219,8 @@ impl HttpClient {
             body.push_str(&json::to_string(job));
         }
         body.push_str("]}");
-        let response = self.request("POST", "/v1/propagate/batch", Some(&body))?;
-        if response.status != 200 {
-            return Err(ServeError::Protocol(format!(
-                "batch propagate returned {}: {}",
-                response.status,
-                response.body_text()
-            )));
-        }
+        let response =
+            ok(self.request("POST", "/v1/propagate/batch", Some(&body))?, "batch propagate")?;
         let (cache_hits, cache_misses) =
             parse_batch_cache_header(response.header("X-Sysunc-Cache").unwrap_or(""));
         let doc = json::parse(&response.body_text())
@@ -269,15 +242,22 @@ impl HttpClient {
     /// Non-200 statuses and transport failures as in
     /// [`HttpClient::propagate`].
     pub fn scrape_metrics(&mut self) -> Result<String> {
-        let response = self.get("/metrics")?;
-        if response.status != 200 {
-            return Err(ServeError::Protocol(format!(
-                "metrics returned {}",
-                response.status
-            )));
-        }
-        Ok(response.body_text())
+        Ok(ok(self.get("/metrics")?, "metrics")?.body_text())
     }
+}
+
+/// `response` when its status is `200`, otherwise a
+/// [`ServeError::Protocol`] naming the call and carrying the status and
+/// the server's error body.
+fn ok(response: Response, call: &str) -> Result<Response> {
+    if response.status == 200 {
+        return Ok(response);
+    }
+    Err(ServeError::Protocol(format!(
+        "{call} returned {}: {}",
+        response.status,
+        response.body_text()
+    )))
 }
 
 /// Parses the batch `X-Sysunc-Cache` header (`hits=H misses=M`);

@@ -26,8 +26,9 @@ pub struct Limits {
 }
 
 impl Default for Limits {
+    /// The limits the transport enforces, [`crate::transport::LIMITS`].
     fn default() -> Self {
-        Self { max_head: 16 * 1024, max_body: 1024 * 1024 }
+        crate::transport::LIMITS
     }
 }
 
@@ -49,10 +50,7 @@ pub struct Request {
 impl Request {
     /// First header value with the given case-insensitive name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// Whether the connection should stay open after responding:
@@ -107,10 +105,7 @@ impl Response {
 
     /// First header value with the given case-insensitive name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// Body interpreted as UTF-8 (lossy).
@@ -223,14 +218,68 @@ impl<S: Read> HttpConn<S> {
         self.buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
     }
 
-    /// The buffered head before the terminator that ends at `head_end`,
-    /// decoded lossily (header values are checked field by field later).
-    fn head_text(&self, head_end: usize) -> Result<String> {
+    /// Buffers the next message head, up to its `\r\n\r\n`
+    /// terminator, and returns where it ends together with its text
+    /// before the terminator, decoded lossily (header values are checked
+    /// field by field later). `Ok(None)` means EOF before any byte.
+    fn read_head(
+        &mut self,
+        limits: &Limits,
+        should_abort: &mut dyn FnMut() -> bool,
+    ) -> Result<Option<(usize, String)>> {
+        let too_large = ServeError::TooLarge { part: "head", limit: limits.max_head };
+        let head_end = loop {
+            if let Some(end) = self.head_end() {
+                if end > limits.max_head {
+                    return Err(too_large);
+                }
+                break end;
+            }
+            if self.buf.len() > limits.max_head {
+                return Err(too_large);
+            }
+            if !self.fill(should_abort)? {
+                if self.buf.is_empty() {
+                    return Ok(None);
+                }
+                return Err(ServeError::Closed);
+            }
+        };
         let head = head_end
             .checked_sub(4)
             .and_then(|end| self.buf.get(..end))
             .ok_or_else(|| ServeError::Protocol("truncated message head".into()))?;
-        Ok(String::from_utf8_lossy(head).into_owned())
+        Ok(Some((head_end, String::from_utf8_lossy(head).into_owned())))
+    }
+
+    /// Reads the body the `Content-Length` of `headers` announces
+    /// (none: empty) and consumes the message from the buffer.
+    fn read_body(
+        &mut self,
+        head_end: usize,
+        headers: &[(String, String)],
+        limits: &Limits,
+        should_abort: &mut dyn FnMut() -> bool,
+    ) -> Result<Vec<u8>> {
+        let content_length = match find_header(headers, "content-length") {
+            Some(v) => v
+                .trim()
+                .parse::<usize>()
+                .map_err(|_| ServeError::Protocol(format!("bad Content-Length '{v}'")))?,
+            None => 0,
+        };
+        if content_length > limits.max_body {
+            return Err(ServeError::TooLarge { part: "body", limit: limits.max_body });
+        }
+        let total = head_end + content_length;
+        while self.buf.len() < total {
+            if !self.fill(should_abort)? {
+                return Err(ServeError::Closed);
+            }
+        }
+        let body = self.buf.get(head_end..total).ok_or(ServeError::Closed)?.to_vec();
+        self.buf.drain(..total);
+        Ok(body)
     }
 
     /// Reads the next request off the connection.
@@ -249,27 +298,9 @@ impl<S: Read> HttpConn<S> {
         limits: &Limits,
         should_abort: &mut dyn FnMut() -> bool,
     ) -> Result<Option<Request>> {
-        let head_end = loop {
-            if let Some(end) = self.head_end() {
-                if end > limits.max_head {
-                    return Err(ServeError::TooLarge {
-                        part: "head",
-                        limit: limits.max_head,
-                    });
-                }
-                break end;
-            }
-            if self.buf.len() > limits.max_head {
-                return Err(ServeError::TooLarge { part: "head", limit: limits.max_head });
-            }
-            if !self.fill(should_abort)? {
-                if self.buf.is_empty() {
-                    return Ok(None);
-                }
-                return Err(ServeError::Closed);
-            }
+        let Some((head_end, head)) = self.read_head(limits, should_abort)? else {
+            return Ok(None);
         };
-        let head = self.head_text(head_end)?;
         let mut lines = head.split("\r\n");
         let request_line = lines.next().unwrap_or("");
         let mut parts = request_line.split(' ');
@@ -295,28 +326,12 @@ impl<S: Read> HttpConn<S> {
             }
         };
         let headers = parse_header_lines(lines)?;
-        let header = |name: &str| {
-            headers
-                .iter()
-                .find(|(k, _): &&(String, String)| k.eq_ignore_ascii_case(name))
-                .map(|(_, v)| v.as_str())
-        };
-        if header("transfer-encoding").is_some() {
+        if find_header(&headers, "transfer-encoding").is_some() {
             return Err(ServeError::Protocol(
                 "chunked transfer encoding is not supported".into(),
             ));
         }
-        let content_length = match header("content-length") {
-            Some(v) => v
-                .trim()
-                .parse::<usize>()
-                .map_err(|_| ServeError::Protocol(format!("bad Content-Length '{v}'")))?,
-            None => 0,
-        };
-        if content_length > limits.max_body {
-            return Err(ServeError::TooLarge { part: "body", limit: limits.max_body });
-        }
-        let body = self.read_exact_body(head_end, content_length, should_abort)?;
+        let body = self.read_body(head_end, &headers, limits, should_abort)?;
         Ok(Some(Request {
             method,
             target,
@@ -338,24 +353,8 @@ impl<S: Read> HttpConn<S> {
         limits: &Limits,
         should_abort: &mut dyn FnMut() -> bool,
     ) -> Result<Response> {
-        let head_end = loop {
-            if let Some(end) = self.head_end() {
-                if end > limits.max_head {
-                    return Err(ServeError::TooLarge {
-                        part: "head",
-                        limit: limits.max_head,
-                    });
-                }
-                break end;
-            }
-            if self.buf.len() > limits.max_head {
-                return Err(ServeError::TooLarge { part: "head", limit: limits.max_head });
-            }
-            if !self.fill(should_abort)? {
-                return Err(ServeError::Closed);
-            }
-        };
-        let head = self.head_text(head_end)?;
+        let (head_end, head) =
+            self.read_head(limits, should_abort)?.ok_or(ServeError::Closed)?;
         let mut lines = head.split("\r\n");
         let status_line = lines.next().unwrap_or("");
         let mut parts = status_line.split(' ');
@@ -370,41 +369,14 @@ impl<S: Read> HttpConn<S> {
             .and_then(|s| s.parse::<u16>().ok())
             .ok_or_else(|| ServeError::Protocol(format!("bad status line '{status_line}'")))?;
         let headers = parse_header_lines(lines)?;
-        let content_length = headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-            .map(|(_, v)| {
-                v.trim()
-                    .parse::<usize>()
-                    .map_err(|_| ServeError::Protocol(format!("bad Content-Length '{v}'")))
-            })
-            .transpose()?
-            .unwrap_or(0);
-        if content_length > limits.max_body {
-            return Err(ServeError::TooLarge { part: "body", limit: limits.max_body });
-        }
-        let body = self.read_exact_body(head_end, content_length, should_abort)?;
+        let body = self.read_body(head_end, &headers, limits, should_abort)?;
         Ok(Response { status, headers, body })
     }
+}
 
-    /// Consumes the head plus exactly `content_length` body bytes from
-    /// the buffer (filling as needed) and returns the body.
-    fn read_exact_body(
-        &mut self,
-        head_end: usize,
-        content_length: usize,
-        should_abort: &mut dyn FnMut() -> bool,
-    ) -> Result<Vec<u8>> {
-        let total = head_end + content_length;
-        while self.buf.len() < total {
-            if !self.fill(should_abort)? {
-                return Err(ServeError::Closed);
-            }
-        }
-        let body = self.buf.get(head_end..total).ok_or(ServeError::Closed)?.to_vec();
-        self.buf.drain(..total);
-        Ok(body)
-    }
+/// First value of the header with the given case-insensitive name.
+fn find_header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
+    headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
 }
 
 /// Parses `Name: value` header lines, rejecting malformed ones.

@@ -9,13 +9,16 @@
 //! spirit of the SysML-v2 line of work where an uncertainty analysis
 //! request is data.
 //!
-//! Everything is `std`: `TcpListener` + a thread per connection that
-//! runs its own propagations behind an admission gate of run and wait
-//! permits (backpressure → `503` + `Retry-After`), an accept-side
-//! connection cap (`503` before a request is even read), a decode-time
-//! cost ceiling (`400`), per-request deadlines (`408`), keep-alive,
-//! atomic metrics behind `GET /metrics`, and graceful drain on
-//! shutdown. The request path is **content-addressed**: every
+//! Everything is `std`. The [`transport`] module is the workspace's one
+//! accept/keep-alive loop — `TcpListener` + a thread per connection, an
+//! accept-side connection cap (`503` before a request is even read),
+//! keep-alive, and graceful drain on shutdown — and both this server
+//! and the `sysunc-fleet` front run on it, each as a
+//! [`transport::Handler`]. The server's handler runs its own
+//! propagations behind an admission gate of run and wait permits
+//! (backpressure → `503` + `Retry-After`), with a decode-time cost
+//! ceiling (`400`), per-request deadlines (`408`), and atomic metrics
+//! behind `GET /metrics`. The request path is **content-addressed**: every
 //! propagate body reduces to its `sysunc::CanonicalRequest`, a
 //! sharded LRU cache serves repeated requests bit-identically
 //! (`X-Sysunc-Cache: hit`), and `POST /v1/propagate/batch` runs many
@@ -52,6 +55,7 @@ pub mod pool;
 pub mod router;
 pub mod server;
 pub mod shutdown;
+pub mod transport;
 
 /// Content-addressed LRU cache of rendered responses.
 pub use cache::ResponseCache;
@@ -64,3 +68,6 @@ pub use pool::{ConnectionLimiter, ConnectionPermit};
 pub use router::{CancelModel, CancelToken, Route};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use shutdown::ShutdownSignal;
+/// The one accept/keep-alive loop, its handler contract and its fixed
+/// message limits.
+pub use transport::{Handler, Transport, LIMITS};

@@ -20,19 +20,21 @@
 //! before it is admitted or allocates anything.
 //!
 //! Cancellation is cooperative: [`CancelModel`] wraps the registered
-//! model and checks its [`CancelToken`] on every scalar evaluation and
-//! every [`CANCEL_ROWS`] rows of a batched one, returning `NaN` once
-//! cancelled or past the deadline. Engines then finish almost
-//! immediately (their quantile reduction rejects the NaN sample), and
-//! the request is answered with `408` instead of burning the rest of
-//! its budget. Stages that make no model call (design generation, the
-//! inverse-CDF transform, the sort, PCE's surrogate sampling) do not
-//! check; the cost ceiling bounds how long they can run.
+//! model and checks its [`CancelToken`] every [`CANCEL_ROWS`] rows of a
+//! batched evaluation; on scalar evaluations it checks the cancel flag
+//! on every call but reads the clock only on every [`CANCEL_ROWS`]-th
+//! one. It returns `NaN` once cancelled or past the deadline. Engines
+//! then finish almost immediately (their quantile reduction rejects the
+//! NaN sample), and the request is answered with `408` instead of
+//! burning the rest of its budget. Stages that make no model call
+//! (design generation, the inverse-CDF transform, the sort, PCE's
+//! surrogate sampling) do not check; the cost ceiling bounds how long
+//! they can run.
 
 use crate::error::ServeError;
 use crate::http::Response;
 use crate::metrics::ServerMetrics;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use sysunc::prob::json::{self, writer::JsonWriter, FromJson, Json};
@@ -101,15 +103,30 @@ impl CancelToken {
         self.cancelled.store(true, Ordering::SeqCst);
     }
 
-    /// Whether the token was cancelled or its deadline passed.
+    /// Whether the token was cancelled or its deadline passed. A
+    /// passed deadline latches the token cancelled, so later flag
+    /// checks see it without reading the clock.
     pub fn expired(&self) -> bool {
-        self.cancelled.load(Ordering::SeqCst) || Instant::now() >= self.deadline
+        if self.cancelled() {
+            return true;
+        }
+        let late = Instant::now() >= self.deadline;
+        if late {
+            self.cancel();
+        }
+        late
+    }
+
+    /// Whether the token was cancelled, or an earlier
+    /// [`CancelToken::expired`] saw its deadline pass. Reads no clock.
+    fn cancelled(&self) -> bool {
+        self.cancelled.load(Ordering::SeqCst)
     }
 }
 
-/// Rows of a batched evaluation between two token checks of
-/// [`CancelModel`]: a slow model runs at most this many evaluations
-/// past the deadline.
+/// Evaluations between two deadline checks of [`CancelModel`]: rows
+/// of a batched evaluation, or scalar calls. A slow model runs at most
+/// this many evaluations past the deadline.
 pub const CANCEL_ROWS: usize = 64;
 
 /// A [`Model`] adapter that aborts evaluation once its token expires,
@@ -118,18 +135,24 @@ pub const CANCEL_ROWS: usize = 64;
 pub struct CancelModel<'m> {
     inner: &'m dyn Model,
     token: CancelToken,
+    /// Scalar calls so far; the clock is read when it is a multiple of
+    /// [`CANCEL_ROWS`].
+    calls: AtomicUsize,
 }
 
 impl<'m> CancelModel<'m> {
     /// Wraps `inner` under the given token.
     pub fn new(inner: &'m dyn Model, token: CancelToken) -> Self {
-        Self { inner, token }
+        Self { inner, token, calls: AtomicUsize::new(0) }
     }
 }
 
 impl Model for CancelModel<'_> {
     fn eval(&self, x: &[f64]) -> f64 {
-        if self.token.expired() {
+        // The flag is one atomic load; the clock costs several times a
+        // cheap model call, so it is read once per CANCEL_ROWS calls.
+        let clock_due = self.calls.fetch_add(1, Ordering::Relaxed).is_multiple_of(CANCEL_ROWS);
+        if self.token.cancelled() || (clock_due && self.token.expired()) {
             f64::NAN
         } else {
             self.inner.eval(x)
@@ -749,6 +772,28 @@ mod tests {
         assert_eq!(guarded.eval(&[3.0]), 6.0);
         token.cancel();
         assert!(guarded.eval(&[3.0]).is_nan());
+    }
+
+    #[test]
+    fn cancel_model_reads_the_clock_every_64_scalar_calls() {
+        // The deadline passes during call 10. Calls 11 to 64 do not read
+        // the clock and run; call 65 reads it, latches the token, and
+        // every call from then on answers NaN.
+        let deadline = Instant::now() + Duration::from_millis(200);
+        let token = CancelToken::with_deadline(deadline);
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let slow_tenth = |x: &[f64]| {
+            if calls.fetch_add(1, Ordering::SeqCst) == 9 {
+                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+            }
+            x[0]
+        };
+        let guarded = CancelModel::new(&slow_tenth, token.clone());
+        let answers: Vec<f64> = (0..200).map(|i| guarded.eval(&[i as f64])).collect();
+        assert_eq!(calls.load(Ordering::SeqCst), CANCEL_ROWS, "inner evaluations");
+        assert!(answers[..CANCEL_ROWS].iter().all(|y| !y.is_nan()));
+        assert!(answers[CANCEL_ROWS..].iter().all(|y| y.is_nan()));
+        assert!(token.cancelled(), "the passed deadline latched the token");
     }
 
     #[test]

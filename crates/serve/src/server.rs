@@ -1,20 +1,13 @@
-//! The server proper: listener, acceptor thread, per-connection
-//! threads, and the propagate path behind the admission gate.
+//! The propagation server: the request handler the [`transport`]
+//! loop runs on every connection thread, with the propagate path behind
+//! the admission gate.
 //!
-//! Threading model:
-//!
-//! - One **acceptor** thread owns the `TcpListener` and spawns a
-//!   thread per connection — up to the hard connection cap
-//!   ([`ConnectionLimiter`]); beyond it the acceptor answers `503 +
-//!   Retry-After` inline and closes, so load cannot grow the thread
-//!   count without bound.
-//! - **Connection** threads parse HTTP, serve the cheap discovery
-//!   routes inline, look repeated propagate requests up in the
-//!   content-addressed [`ResponseCache`] (a hit answers without
-//!   touching the gate), and run cache misses themselves once the
-//!   [`AdmissionGate`] hands them a run permit. A batch request holds
-//!   one permit and fans its deduplicated jobs across
-//!   `core::run_batch` scoped threads.
+//! Connection threads serve the cheap discovery routes inline, look
+//! repeated propagate requests up in the content-addressed
+//! [`ResponseCache`] (a hit answers without touching the gate), and run
+//! cache misses themselves once the [`AdmissionGate`] hands them a run
+//! permit. A batch request holds one permit and fans its deduplicated
+//! jobs across `core::run_batch` scoped threads.
 //!
 //! Backpressure: with every run permit and every wait permit taken, the
 //! connection thread answers `503` with `Retry-After` immediately.
@@ -23,29 +16,27 @@
 //! engine's next cancel check, which turns the rest of its budget into
 //! fast no-ops, and answers `408` then. Panics: the propagation runs
 //! under `catch_unwind`, so a panicking model answers `500`, is counted
-//! in `/healthz`, and its run permit is returned. Shutdown: the
-//! [`ShutdownSignal`] stops the acceptor, connection read loops notice
-//! via their polling timeout and finish their current request, and the
-//! acceptor joins every connection thread before the handle's
-//! `shutdown` returns.
+//! in `/healthz`, and its run permit is returned. The connection cap,
+//! keep-alive and shutdown drain are the [`transport`]'s.
+//!
+//! [`transport`]: crate::transport
 
 use crate::cache::ResponseCache;
-use crate::error::{Result, ServeError};
-use crate::http::{HttpConn, Limits, Request, Response};
+use crate::error::Result;
+use crate::http::{Request, Response};
 use crate::metrics::{route_label, ServerMetrics};
-use crate::pool::{AdmissionGate, ConnectionLimiter, Refusal};
+use crate::pool::{AdmissionGate, Refusal};
 use crate::router::{
     decode_batch_body, decode_propagate_body, engines_response, error_response,
-    healthz_response, metrics_response, models_response, propagate_response,
-    read_error_response, route, run_batch_jobs, CancelToken, Route,
+    healthz_response, metrics_response, models_response, propagate_response, route,
+    run_batch_jobs, CancelToken, Route,
 };
 use crate::shutdown::ShutdownSignal;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use crate::transport::{Event, Handler, Transport};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use sysunc::{dedup_by_key, Error as SysuncError, ModelRegistry};
 
@@ -62,10 +53,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Deadline per propagate request before `408`.
     pub request_timeout: Duration,
-    /// Socket read poll interval; bounds shutdown latency.
-    pub poll_interval: Duration,
-    /// HTTP message size limits.
-    pub limits: Limits,
     /// Concurrent connections served before the acceptor answers
     /// `503 + Retry-After` inline (accept-side backpressure).
     pub max_connections: usize,
@@ -85,8 +72,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_capacity: 64,
             request_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_millis(25),
-            limits: Limits::default(),
             max_connections: 128,
             cache_capacity: 1024,
             cache_shards: 8,
@@ -95,7 +80,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything a connection thread needs, shared behind an `Arc`.
+/// Everything a connection thread needs, shared behind an `Arc`: the
+/// server's [`Handler`].
 struct Ctx {
     registry: ModelRegistry,
     metrics: Arc<ServerMetrics>,
@@ -103,10 +89,61 @@ struct Ctx {
     /// Propagations that panicked (answered `500`), for `/healthz`.
     panics: AtomicU64,
     cache: ResponseCache,
-    signal: ShutdownSignal,
     config: ServerConfig,
     /// When the server started, backing the `/healthz` uptime report.
     started: Instant,
+}
+
+impl Handler for Ctx {
+    type Conn = ();
+
+    fn handle(&self, request: &Request, _conn: &mut ()) -> Response {
+        match route(&request.method, &request.target) {
+            Route::Propagate => propagate(request, self),
+            Route::PropagateBatch => propagate_batch(request, self),
+            Route::Engines => engines_response(),
+            Route::Models => models_response(&self.registry),
+            Route::Metrics => metrics_response(&self.metrics),
+            // Answered without the gate — a supervisor probe must succeed
+            // even when every run and wait permit is taken.
+            Route::Healthz => healthz_response(
+                self.gate.waiting(),
+                self.config.workers,
+                self.panics.load(Ordering::Relaxed),
+                self.started.elapsed(),
+            ),
+            Route::MethodNotAllowed => {
+                let allow = if route_label(&request.target).starts_with("/v1/propagate") {
+                    "POST"
+                } else {
+                    "GET"
+                };
+                error_response(405, &format!("method {} not allowed here", request.method))
+                    .with_header("Allow", allow)
+            }
+            Route::NotFound => {
+                error_response(404, &format!("no route for '{}'", request.target))
+            }
+        }
+    }
+
+    fn record(&self, event: Event<'_>) {
+        let metrics = &self.metrics;
+        match event {
+            Event::Opened => metrics.connection_opened(),
+            Event::Rejected => metrics.connection_rejected(),
+            Event::Closed => metrics.connection_closed(),
+            Event::Answered { target, status, elapsed } => {
+                metrics.record_request(route_label(target), status, elapsed);
+            }
+            Event::Unreadable { status } => {
+                metrics.protocol_error();
+                if let Some(status) = status {
+                    metrics.record_request("other", status, Duration::ZERO);
+                }
+            }
+        }
+    }
 }
 
 /// The propagation server. Construct with [`Server::start`].
@@ -114,18 +151,15 @@ struct Ctx {
 pub struct Server;
 
 impl Server {
-    /// Binds, spawns the acceptor thread, and returns a
-    /// handle. The server runs until [`ServerHandle::shutdown`] (or
-    /// the handle's drop).
+    /// Binds, starts the [`Transport`] loop with the server's handler,
+    /// and returns a handle. The server runs until
+    /// [`ServerHandle::shutdown`] (or the handle's drop).
     ///
     /// # Errors
     ///
-    /// Propagates bind/spawn failures as [`ServeError::Io`].
+    /// Propagates bind/spawn failures as [`crate::ServeError::Io`].
     pub fn start(config: ServerConfig, registry: ModelRegistry) -> Result<ServerHandle> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let metrics = Arc::new(ServerMetrics::new());
-        let signal = ShutdownSignal::new();
         let ctx = Arc::new(Ctx {
             registry,
             metrics: Arc::clone(&metrics),
@@ -136,32 +170,31 @@ impl Server {
                 config.cache_shards,
                 config.cache_ttl,
             ),
-            signal: signal.clone(),
-            config,
             started: Instant::now(),
+            config,
         });
-        let acceptor_ctx = Arc::clone(&ctx);
-        let acceptor = std::thread::Builder::new()
-            .name("sysunc-serve-acceptor".into())
-            .spawn(move || acceptor_loop(&listener, &acceptor_ctx))
-            .map_err(|e| ServeError::Io(e.to_string()))?;
-        Ok(ServerHandle { addr, metrics, signal, acceptor: Some(acceptor) })
+        let transport = Transport::start(
+            &ctx.config.addr,
+            ctx.config.max_connections,
+            ShutdownSignal::new(),
+            Arc::clone(&ctx),
+        )?;
+        Ok(ServerHandle { metrics, transport })
     }
 }
 
 /// A running server: its address, metrics, and shutdown control.
+/// Dropping it shuts the server down.
 #[derive(Debug)]
 pub struct ServerHandle {
-    addr: SocketAddr,
     metrics: Arc<ServerMetrics>,
-    signal: ShutdownSignal,
-    acceptor: Option<JoinHandle<()>>,
+    transport: Transport,
 }
 
 impl ServerHandle {
     /// The bound address (with the resolved ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.transport.addr()
     }
 
     /// The live metrics registry backing `GET /metrics`.
@@ -169,142 +202,10 @@ impl ServerHandle {
         Arc::clone(&self.metrics)
     }
 
-    fn shutdown_inner(&mut self) {
-        self.signal.trigger_and_wake(self.addr);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-    }
-
     /// Gracefully stops the server: no new connections, in-flight
     /// requests drain, connection threads join.
     pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-fn acceptor_loop(listener: &TcpListener, ctx: &Arc<Ctx>) {
-    let limiter = ConnectionLimiter::new(ctx.config.max_connections);
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if ctx.signal.is_triggered() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        connections.retain(|h| !h.is_finished());
-        // Accept-side backpressure: at the connection cap the acceptor
-        // answers 503 inline and closes, instead of growing the
-        // thread-per-connection count without bound.
-        let Some(permit) = limiter.try_acquire() else {
-            ctx.metrics.connection_rejected();
-            reject_connection(stream);
-            continue;
-        };
-        ctx.metrics.connection_opened();
-        let conn_ctx = Arc::clone(ctx);
-        let spawned = std::thread::Builder::new()
-            .name("sysunc-serve-conn".into())
-            .spawn(move || {
-                // The permit rides with the thread; dropping it on any
-                // exit path (including panic) frees the slot.
-                let _permit = permit;
-                handle_connection(stream, &conn_ctx);
-            });
-        match spawned {
-            Ok(handle) => connections.push(handle),
-            Err(_) => ctx.metrics.connection_closed(),
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-/// Answers a connection refused at the cap: an immediate `503 +
-/// Retry-After` and close, bounded by a short write timeout so a slow
-/// peer cannot stall the acceptor.
-fn reject_connection(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let response = error_response(503, "server connection limit reached; retry shortly")
-        .with_header("Retry-After", "1");
-    let _ = response.write_to(&mut stream, false);
-    let _ = stream.flush();
-}
-
-fn handle_connection(stream: TcpStream, ctx: &Arc<Ctx>) {
-    let _ = stream.set_read_timeout(Some(ctx.config.poll_interval));
-    let _ = stream.set_nodelay(true);
-    let mut conn = HttpConn::new(stream);
-    loop {
-        let mut should_abort = || ctx.signal.is_triggered();
-        match conn.read_request(&ctx.config.limits, &mut should_abort) {
-            Ok(Some(request)) => {
-                let started = Instant::now();
-                let response = handle_request(&request, ctx);
-                let keep_alive = request.wants_keep_alive() && !ctx.signal.is_triggered();
-                let status = response.status;
-                let wrote = response.write_to(conn.stream_mut(), keep_alive).is_ok();
-                ctx.metrics.record_request(
-                    route_label(&request.target),
-                    status,
-                    started.elapsed(),
-                );
-                if !keep_alive || !wrote {
-                    break;
-                }
-            }
-            // Peer hung up between requests.
-            Ok(None) => break,
-            // Shutdown while idle or mid-read.
-            Err(ServeError::Timeout) => break,
-            Err(e) => {
-                ctx.metrics.protocol_error();
-                if let Some(response) = read_error_response(&e) {
-                    let status = response.status;
-                    let _ = response.write_to(conn.stream_mut(), false);
-                    ctx.metrics.record_request("other", status, Duration::ZERO);
-                }
-                break;
-            }
-        }
-    }
-    ctx.metrics.connection_closed();
-}
-
-fn handle_request(request: &Request, ctx: &Ctx) -> Response {
-    match route(&request.method, &request.target) {
-        Route::Propagate => propagate(request, ctx),
-        Route::PropagateBatch => propagate_batch(request, ctx),
-        Route::Engines => engines_response(),
-        Route::Models => models_response(&ctx.registry),
-        Route::Metrics => metrics_response(&ctx.metrics),
-        // Answered without the gate — a supervisor probe must succeed
-        // even when every run and wait permit is taken.
-        Route::Healthz => healthz_response(
-            ctx.gate.waiting(),
-            ctx.config.workers,
-            ctx.panics.load(Ordering::Relaxed),
-            ctx.started.elapsed(),
-        ),
-        Route::MethodNotAllowed => {
-            let allow = if route_label(&request.target).starts_with("/v1/propagate") {
-                "POST"
-            } else {
-                "GET"
-            };
-            error_response(405, &format!("method {} not allowed here", request.method))
-                .with_header("Allow", allow)
-        }
-        Route::NotFound => {
-            error_response(404, &format!("no route for '{}'", request.target))
-        }
+        self.transport.stop();
     }
 }
 

@@ -2,7 +2,10 @@
 //! tolerate a SIGKILLed shard under load with zero failed client
 //! requests, complete in-flight work across a drain-on-shutdown, and
 //! route repeated requests so shard caches answer bit-identically to a
-//! single-process server.
+//! single-process server. The front runs serve's transport loop, so it
+//! refuses excess connections and unreadable requests itself, and it
+//! answers bodies a shard would refuse with the shard's `400` without
+//! forwarding them.
 //!
 //! These tests spawn real `sysunc-serve` child processes, so they need
 //! the serve binary on disk. `cargo test` does not build another
@@ -15,14 +18,18 @@
 //! loudly instead of failing, so a bare `cargo test` on a fresh
 //! checkout stays green.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
 use sysunc::prob::json;
 use sysunc::{ModelRegistry, UncertainInput, WireRequest};
-use sysunc_fleet::{locate_serve_bin, Fleet, FleetConfig};
-use sysunc_serve::{HttpClient, RetryPolicy, Server, ServerConfig};
+use sysunc_fleet::{locate_serve_bin, Fleet, FleetConfig, FleetHandle};
+use sysunc_serve::http::HttpConn;
+use sysunc_serve::router::{decode_batch_body, decode_propagate_body, COST_CEILING};
+use sysunc_serve::{HttpClient, Response, RetryPolicy, Server, ServerConfig, LIMITS};
 
 /// The serve binary to spawn shards from, rebuilt from the current
 /// sources once per test run, or a loud skip.
@@ -310,5 +317,126 @@ fn routed_cache_hits_are_bit_identical_to_single_process() {
     }
     assert_eq!(fleet.metrics().total_restarts(), 0, "no shard died");
     single.shutdown();
+    fleet.shutdown();
+}
+
+/// A 2-shard test fleet with both shards up.
+fn healthy_fleet(config: FleetConfig) -> FleetHandle {
+    let fleet = Fleet::start(config).expect("fleet starts");
+    assert!(fleet.await_healthy(2, Duration::from_secs(10)), "both shards come up");
+    fleet
+}
+
+/// The sum, over the front's merged exposition, of every series whose
+/// line starts with `prefix`.
+fn merged_sum(client: &mut HttpClient, prefix: &str) -> u64 {
+    let text = client.scrape_metrics().expect("front metrics");
+    text.lines()
+        .filter(|l| l.starts_with(prefix))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum()
+}
+
+/// Sends raw bytes on a fresh connection and reads the one answer.
+fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> Response {
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    stream.write_all(bytes).expect("request written");
+    HttpConn::new(stream).read_response(&LIMITS, &mut || true).expect("answer arrives")
+}
+
+/// The front runs serve's connection cap: with one connection held, a
+/// second is refused `503 + Retry-After: 1` before its request is read.
+#[test]
+fn a_front_at_its_connection_cap_answers_503_with_retry_after() {
+    let Some(bin) = serve_bin() else { return };
+    let fleet = healthy_fleet(FleetConfig { max_connections: 1, ..test_config(2, bin) });
+    let mut held = HttpClient::connect(fleet.addr()).expect("connects");
+    assert_eq!(held.get("/v1/engines").expect("served").status, 200, "the slot is taken");
+    let mut second = HttpClient::connect(fleet.addr()).expect("TCP connects");
+    let refused = second.get("/v1/engines").expect("rejection arrives");
+    assert_eq!(refused.status, 503, "body: {}", refused.body_text());
+    assert_eq!(refused.header("Retry-After"), Some("1"));
+    fleet.shutdown();
+}
+
+/// Bytes that are not a request are answered by the front's transport
+/// loop, `400` for a malformed request line and `413` for a head over
+/// 16 KiB, and no shard sees them.
+#[test]
+fn the_front_answers_unreadable_requests_itself() {
+    let Some(bin) = serve_bin() else { return };
+    let fleet = healthy_fleet(test_config(2, bin));
+    let mut client = HttpClient::connect(fleet.addr()).expect("connects");
+    let protocol_errors = merged_sum(&mut client, "sysunc_protocol_errors_total");
+
+    let malformed = raw_exchange(fleet.addr(), b"NOT-HTTP\r\n\r\n");
+    assert_eq!(malformed.status, 400, "body: {}", malformed.body_text());
+    let long_head =
+        format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(LIMITS.max_head + 1));
+    let oversized = raw_exchange(fleet.addr(), long_head.as_bytes());
+    assert_eq!(oversized.status, 413, "body: {}", oversized.body_text());
+
+    assert_eq!(
+        merged_sum(&mut client, "sysunc_protocol_errors_total"),
+        protocol_errors,
+        "no shard read the bad bytes"
+    );
+    fleet.shutdown();
+}
+
+/// A body a shard would refuse at decode is refused at the front with
+/// the shard's exact bytes, and never reaches a shard.
+#[test]
+fn undecodable_bodies_answer_400_at_the_front() {
+    let Some(bin) = serve_bin() else { return };
+    let fleet = healthy_fleet(test_config(2, bin));
+    let registry = ModelRegistry::standard().expect("registry builds");
+    let mut client = HttpClient::connect(fleet.addr()).expect("connects");
+    let served = |client: &mut HttpClient| {
+        merged_sum(client, "sysunc_http_requests_total{route=\"/v1/propagate")
+    };
+    let before = served(&mut client);
+
+    // `orbital-period` reads three inputs.
+    let wrong_arity = json::to_string(&WireRequest::new(
+        "monte-carlo",
+        "orbital-period",
+        vec![UncertainInput::Normal { mu: 1.0, sigma: 0.1 }],
+    ));
+    let refused = client
+        .request("POST", "/v1/propagate", Some(&wrong_arity))
+        .expect("the front answers");
+    assert_eq!(refused.status, 400, "body: {}", refused.body_text());
+    let expected = *decode_propagate_body(&registry, wrong_arity.as_bytes()).expect_err("refused");
+    assert_eq!(refused.body, expected.body, "serve's exact bytes");
+
+    let mut over = wire(1);
+    over.budget = COST_CEILING as usize;
+    let batch = format!("{{\"jobs\":[{},{}]}}", json::to_string(&wire(2)), json::to_string(&over));
+    let refused = client
+        .request("POST", "/v1/propagate/batch", Some(&batch))
+        .expect("the front answers");
+    assert_eq!(refused.status, 400, "body: {}", refused.body_text());
+    let expected = *decode_batch_body(&registry, batch.as_bytes()).expect_err("refused");
+    assert_eq!(refused.body, expected.body, "serve's exact bytes, naming job 1");
+
+    assert_eq!(served(&mut client), before, "no shard served a propagate request");
+    fleet.shutdown();
+}
+
+/// A batch is placed by the hash of all its jobs, so the same batch
+/// sent twice lands on the shard that cached every job the first time.
+#[test]
+fn a_repeated_batch_is_answered_from_one_shards_cache() {
+    let Some(bin) = serve_bin() else { return };
+    let fleet = healthy_fleet(test_config(2, bin));
+    let mut client = HttpClient::connect(fleet.addr()).expect("connects");
+    let jobs: Vec<WireRequest> = (0..5).map(|i| wire(70_000 + i)).collect();
+    let first = client.propagate_batch(&jobs).expect("first batch");
+    assert_eq!((first.cache_hits, first.cache_misses), (0, 5));
+    let again = client.propagate_batch(&jobs).expect("repeated batch");
+    assert_eq!((again.cache_hits, again.cache_misses), (5, 0), "every job a hit");
+    assert_eq!(again.reports, first.reports);
     fleet.shutdown();
 }
