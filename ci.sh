@@ -33,9 +33,10 @@ echo "== toolchain lint gate (clippy, workspace lint table) =="
 # Generic lint duty belongs to rustc and clippy: every member inherits
 # the root [workspace.lints] table (panic family, float_cmp,
 # missing_docs, unreachable_pub, per-site #[expect] discipline), and
-# serve/fleet deny clippy::indexing_slicing crate-wide. A check build
-# fails in well under the release build's time.
-cargo clippy --quiet --offline --workspace --lib
+# serve/fleet deny clippy::indexing_slicing crate-wide. The binaries
+# (experiment binaries, tidy_trend, the servers) are held to the same
+# table. A check build fails in well under the release build's time.
+cargo clippy --quiet --offline --workspace --lib --bins
 
 echo "== toolchain lint gate (clippy, perfbench) =="
 # perfbench/ is its own workspace and does not inherit the table, so
@@ -87,6 +88,12 @@ echo "== 408 lateness at the cost ceiling (release) =="
 # Stages that make no model call cannot be cancelled, so the ceiling is
 # what bounds this. #[ignore]-gated: it measures release-build timing.
 cargo test -q --release --offline --test serve_integration -- --ignored
+
+echo "== JSON string parsing is linear (release) =="
+# A string 4x as long must parse in under 8x the time (linear code reads
+# about 4x). #[ignore]-gated: it measures release-build timing.
+cargo test -q --release --offline -p sysunc-prob --lib \
+  json::tests::string_parsing_is_linear_in_the_string_length -- --ignored
 
 echo "== engine-layer examples (release) =="
 cargo run -q --release --offline --example propagation_methods

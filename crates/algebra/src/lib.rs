@@ -36,4 +36,4 @@ mod orthopoly;
 pub use decomp::{lstsq, Cholesky, Lu};
 pub use error::{AlgebraError, Result};
 pub use matrix::Matrix;
-pub use orthopoly::{clenshaw_curtis, GaussRule, PolyFamily};
+pub use orthopoly::{clenshaw_curtis, GaussRule, OrthonormalStep, PolyFamily};

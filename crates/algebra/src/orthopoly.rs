@@ -86,25 +86,29 @@ impl PolyFamily {
     /// assert!((vals[1] - 1.0).abs() < 1e-15); // he1(x) = x
     /// ```
     pub fn eval_orthonormal(&self, degree: usize, x: f64) -> Vec<f64> {
-        // Orthonormal recurrence: sqrt(b_{k+1}) p_{k+1} = (x - a_k) p_k -
-        // sqrt(b_k) p_{k-1}.
         let mut out = Vec::with_capacity(degree + 1);
         out.push(1.0);
-        if degree == 0 {
-            return out;
-        }
         let mut prev = 0.0; // p_{-1}
         let mut curr = 1.0; // p_0
         for k in 0..degree {
-            let a = self.recurrence_a(k);
-            let sqrt_bk = self.recurrence_b(k).sqrt();
-            let sqrt_bk1 = self.recurrence_b(k + 1).sqrt();
-            let next = ((x - a) * curr - if k == 0 { 0.0 } else { sqrt_bk } * prev) / sqrt_bk1;
+            let next = self.orthonormal_step(k).apply(x, curr, prev);
             out.push(next);
             prev = curr;
             curr = next;
         }
         out
+    }
+
+    /// The step from `p_k` to `p_{k+1}` of the orthonormal recurrence
+    /// [`PolyFamily::eval_orthonormal`] runs. Callers that evaluate many
+    /// points compute the steps once and [`OrthonormalStep::apply`] them.
+    pub fn orthonormal_step(&self, k: usize) -> OrthonormalStep {
+        OrthonormalStep {
+            a: self.recurrence_a(k),
+            // There is no p_{-1} term.
+            sqrt_b: if k == 0 { 0.0 } else { self.recurrence_b(k).sqrt() },
+            sqrt_b_next: self.recurrence_b(k + 1).sqrt(),
+        }
     }
 
     /// Evaluates the single orthonormal polynomial of the given degree.
@@ -147,6 +151,24 @@ impl PolyFamily {
         let eig = tridiagonal_eigen(&diag, &offdiag)?;
         let weights: Vec<f64> = eig.first_components.iter().map(|z| z * z).collect();
         Ok(GaussRule { nodes: eig.values, weights })
+    }
+}
+
+/// One step of the orthonormal three-term recurrence,
+/// `√b_{k+1} p_{k+1} = (x − a_k) p_k − √b_k p_{k−1}`, with its
+/// coefficients computed ([`PolyFamily::orthonormal_step`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OrthonormalStep {
+    a: f64,
+    sqrt_b: f64,
+    sqrt_b_next: f64,
+}
+
+impl OrthonormalStep {
+    /// `p_{k+1}(x)` from `curr = p_k(x)` and `prev = p_{k−1}(x)`.
+    #[inline]
+    pub fn apply(&self, x: f64, curr: f64, prev: f64) -> f64 {
+        ((x - self.a) * curr - self.sqrt_b * prev) / self.sqrt_b_next
     }
 }
 

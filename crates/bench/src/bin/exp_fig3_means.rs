@@ -16,8 +16,8 @@
 use sysunc_prob::rng::StdRng;
 use sysunc_prob::rng::SeedableRng;
 use sysunc::perception::{
-    ClassifierModel, FieldCampaign, FusedVerdict, FusionSystem, ReleaseForecast, Truth,
-    WorldModel,
+    ClassifierModel, FieldCampaign, FusedVerdict, FusionSystem, PerceptionError,
+    ReleaseForecast, Truth, WorldModel,
 };
 use sysunc::prob::dist::Beta;
 use sysunc_bench::{header, section};
@@ -37,21 +37,21 @@ enum System {
 impl System {
     /// Returns (hazard on this known-pedestrian encounter, accepted as
     /// known on this novel encounter) indicator outcomes.
-    fn hazard_on(&self, truth: Truth, rng: &mut StdRng) -> (bool, bool) {
+    fn hazard_on(&self, truth: Truth, rng: &mut StdRng) -> Result<(bool, bool), PerceptionError> {
         match self {
             System::SingleCamera(c) => {
                 let label = c.classify(truth, rng).label;
                 let ped_as_car = truth == Truth::Known(1) && label == 0;
                 let novel_accepted = truth.is_novel() && label < c.known_len();
-                (ped_as_car, novel_accepted)
+                Ok((ped_as_car, novel_accepted))
             }
             System::AgreementFusion(f) => {
                 let labels = f.observe(truth, rng);
-                let verdict = f.fuse_vote(&labels).expect("label count matches");
+                let verdict = f.fuse_vote(&labels)?;
                 let ped_as_car = truth == Truth::Known(1) && verdict == FusedVerdict::Known(0);
                 let novel_accepted =
                     truth.is_novel() && matches!(verdict, FusedVerdict::Known(_));
-                (ped_as_car, novel_accepted)
+                Ok((ped_as_car, novel_accepted))
             }
         }
     }
@@ -63,7 +63,7 @@ fn measure(
     observation_budget: usize,
     forecast_gate: bool,
     seed: u64,
-) -> RiskProfile {
+) -> Result<RiskProfile, Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let trials = 300_000;
     let mut ped_encounters = 0u64;
@@ -72,7 +72,7 @@ fn measure(
     let mut novel_accepted = 0u64;
     for _ in 0..trials {
         let truth = world.sample(&mut rng);
-        let (hazard, accepted) = system.hazard_on(truth, &mut rng);
+        let (hazard, accepted) = system.hazard_on(truth, &mut rng)?;
         if truth == Truth::Known(1) {
             ped_encounters += 1;
             if hazard {
@@ -90,8 +90,7 @@ fn measure(
     // Epistemic: credible width on the hazard rate from the observation
     // budget (the fleet can only label so much data).
     let observed_hazards = (aleatory * observation_budget as f64).round() as u64;
-    let posterior = Beta::new(1.0, 1.0)
-        .expect("valid")
+    let posterior = Beta::new(1.0, 1.0)?
         .updated(observed_hazards, observation_budget as u64 - observed_hazards);
     let epistemic = posterior.credible_width(0.95);
     // Ontological: per-encounter rate of accepted unknowns; with a
@@ -106,18 +105,17 @@ fn measure(
         // The gate limits the *unvetted* novelty stream to the residual.
         ontological = ontological.min(residual);
     }
-    RiskProfile { aleatory, epistemic, ontological }
+    Ok(RiskProfile { aleatory, epistemic, ontological })
 }
 
-fn fusion_system() -> FusionSystem {
-    let camera = ClassifierModel::paper_camera().expect("builds");
+fn fusion_system() -> Result<FusionSystem, PerceptionError> {
+    let camera = ClassifierModel::paper_camera()?;
     let radar = ClassifierModel::new(
         vec!["car".into(), "pedestrian".into()],
         vec![vec![0.95, 0.0, 0.05], vec![0.0, 0.8, 0.2]],
         vec![0.05, 0.05, 0.9],
-    )
-    .expect("builds");
-    FusionSystem::new(vec![camera, radar], vec![0.6, 0.3, 0.1], vec![0.9, 0.9]).expect("builds")
+    )?;
+    FusionSystem::new(vec![camera, radar], vec![0.6, 0.3, 0.1], vec![0.9, 0.9])
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -125,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let world = WorldModel::paper_example()?;
     let camera = ClassifierModel::paper_camera()?;
 
-    let baseline = measure(&world, &System::SingleCamera(camera.clone()), 2_000, false, 1);
+    let baseline = measure(&world, &System::SingleCamera(camera.clone()), 2_000, false, 1)?;
     section("baseline: single camera, open context, 2k labeled observations");
     println!(
         "  aleatory {:.5}   epistemic {:.5}   ontological {:.5}",
@@ -158,7 +156,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (
             "tolerance: diverse fusion",
             world.clone(),
-            System::AgreementFusion(fusion_system()),
+            System::AgreementFusion(fusion_system()?),
             2_000,
             false,
         ),
@@ -177,7 +175,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "means", "aleatory", "epistemic", "ontological"
     );
     for (name, w, sys, budget, gate) in configs {
-        let r = measure(&w, &sys, budget, gate, 2);
+        let r = measure(&w, &sys, budget, gate, 2)?;
         let f = |base: f64, now: f64| {
             if now <= 0.0 {
                 f64::INFINITY

@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     section("Cross-check: likelihood weighting, 500k samples");
-    let gt = bn.node_id("ground_truth").expect("exists");
-    let perc = bn.node_id("perception").expect("exists");
+    let gt = bn.node_id("ground_truth").ok_or("no ground_truth node")?;
+    let perc = bn.node_id("perception").ok_or("no perception node")?;
     let mut rng = StdRng::seed_from_u64(1);
     for (sid, state) in PERCEPTION_STATES.iter().enumerate() {
         let approx = likelihood_weighting(&bn, gt, &[(perc, sid)], 500_000, &mut rng)?;

@@ -7,7 +7,8 @@
 use sysunc_prob::rng::StdRng;
 use sysunc_prob::rng::SeedableRng;
 use sysunc::perception::{
-    ClassifierModel, FusedVerdict, FusionSystem, RejectingClassifier, Truth, Verdict, WorldModel,
+    ClassifierModel, FusedVerdict, FusionSystem, PerceptionError, RejectingClassifier, Truth,
+    Verdict, WorldModel,
 };
 use sysunc_bench::{header, section};
 
@@ -17,11 +18,11 @@ struct Rates {
     availability: f64,
 }
 
-fn eval<F: FnMut(Truth, &mut StdRng) -> Option<usize>>(
+fn eval<F: FnMut(Truth, &mut StdRng) -> Result<Option<usize>, PerceptionError>>(
     world: &WorldModel,
     mut system: F,
     seed: u64,
-) -> Rates {
+) -> Result<Rates, PerceptionError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let trials = 200_000;
     let (mut ped_n, mut ped_bad) = (0u64, 0u64);
@@ -29,7 +30,7 @@ fn eval<F: FnMut(Truth, &mut StdRng) -> Option<usize>>(
     let (mut known_n, mut answered) = (0u64, 0u64);
     for _ in 0..trials {
         let truth = world.sample(&mut rng);
-        let out = system(truth, &mut rng);
+        let out = system(truth, &mut rng)?;
         match truth {
             Truth::Known(1) => {
                 ped_n += 1;
@@ -52,11 +53,11 @@ fn eval<F: FnMut(Truth, &mut StdRng) -> Option<usize>>(
             }
         }
     }
-    Rates {
+    Ok(Rates {
         ped_as_car: ped_bad as f64 / ped_n.max(1) as f64,
         novel_accepted: novel_bad as f64 / novel_n.max(1) as f64,
         availability: answered as f64 / known_n.max(1) as f64,
-    }
+    })
 }
 
 fn print_rates(name: &str, r: &Rates) {
@@ -98,15 +99,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let r = eval(&world, |t, rng| {
         let label = camera.classify(t, rng).label;
-        (label < camera.known_len()).then_some(label)
-    }, 1);
+        Ok((label < camera.known_len()).then_some(label))
+    }, 1)?;
     print_rates("single camera", &r);
 
     let rej = RejectingClassifier::new(camera.clone(), 0.55)?;
     let r = eval(&world, |t, rng| match rej.classify(t, rng) {
-        Verdict::Label(l) if l < rej.inner().known_len() => Some(l),
-        _ => None,
-    }, 2);
+        Verdict::Label(l) if l < rej.inner().known_len() => Ok(Some(l)),
+        _ => Ok(None),
+    }, 2)?;
     print_rates("uncertainty-aware camera (reject)", &r);
 
     for (name, sys) in [("diverse camera+radar", &diverse), ("homogeneous camera+camera", &homogeneous)] {
@@ -114,15 +115,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let r = eval(&world, |t, rng| {
                 let labels = sys.observe(t, rng);
                 let verdict = match idx {
-                    0 => sys.fuse_vote(&labels).expect("valid"),
-                    1 => sys.fuse_bayes(&labels).expect("valid").0,
+                    0 => sys.fuse_vote(&labels)?,
+                    1 => sys.fuse_bayes(&labels)?.0,
                     _ => sys.fuse_dempster(&labels).map(|(v, _)| v).unwrap_or(FusedVerdict::Unknown),
                 };
-                match verdict {
+                Ok(match verdict {
                     FusedVerdict::Known(l) => Some(l),
                     FusedVerdict::Unknown => None,
-                }
-            }, 3 + idx as u64);
+                })
+            }, 3 + idx as u64)?;
             print_rates(&format!("{name} [{rule}]"), &r);
         }
     }
@@ -140,11 +141,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FusionSystem::new(vec![foggy.clone(), foggy], vec![0.6, 0.3, 0.1], vec![0.9, 0.9])?;
     let r = eval(&world, |t, rng| {
         let labels = foggy_pair.observe(t, rng);
-        match foggy_pair.fuse_vote(&labels).expect("valid") {
+        Ok(match foggy_pair.fuse_vote(&labels)? {
             FusedVerdict::Known(l) => Some(l),
             FusedVerdict::Unknown => None,
-        }
-    }, 11);
+        })
+    }, 11)?;
     print_rates("common-cause degraded pair [vote]", &r);
     println!("\n  Expected shape: diverse fusion cuts ped-as-car and novel");
     println!("  acceptance by an order of magnitude at modest availability cost;");

@@ -106,7 +106,13 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let current = parse(&record).expect("own record is valid JSON");
+            let current = match parse(&record) {
+                Ok(c) => c,
+                Err(e) => {
+                    eprintln!("tidy_trend: own record is not valid JSON: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             match suppression_regressions(&current, &prev) {
                 Ok(findings) if findings.is_empty() => {}
                 Ok(findings) => {

@@ -673,19 +673,25 @@ impl Propagator for SpectralEngine {
         let model = request.model;
         let pce = ChaosExpansion::fit_projection(&inputs, self.degree, |x| model.eval(x))?;
         // Quantiles/exceedance via LHS samples of the surrogate — cheap
-        // (no model calls) and deterministic under the request seed.
+        // (no model calls) and deterministic under the request seed. The
+        // design goes straight into columns and the surrogate kernel
+        // evaluates them, bit for bit what per-point `eval_u` returns.
         let n = request.budget.max(1024);
         let mut rng = StdRng::seed_from_u64(request.seed);
-        let points = LatinHypercubeDesign
-            .generate(n, inputs.len(), &mut rng)
+        let mut points = SoaMatrix::zeroed(inputs.len(), n);
+        LatinHypercubeDesign
+            .generate_into(n, inputs.len(), &mut rng, &mut points)
             .map_err(Error::Sampling)?;
-        let mut outputs: Vec<f64> = points.iter().map(|u| pce.eval_u(u)).collect();
+        let mut outputs = AlignedBuf::zeroed(n);
+        pce.eval_u_batch(&points.chunk(0, n), outputs.as_mut_slice());
+        drop(points);
+        let outputs = outputs.as_mut_slice();
         let exceedance = request.threshold.map(|t| {
             let freq = outputs.iter().filter(|&&y| y > t).count() as f64
                 / outputs.len().max(1) as f64;
             Interval::degenerate(freq)
         });
-        let quantiles = point_quantiles(&mut outputs, &request.quantile_levels)?;
+        let quantiles = point_quantiles(outputs, &request.quantile_levels)?;
         Ok(PropagationReport {
             engine: self.name(),
             means: self.means(),

@@ -6,7 +6,7 @@ use crate::input::PceInput;
 use crate::multiindex::{total_degree_set, MultiIndex};
 use crate::quadrature::{sparse_grid, tensor_grid};
 use sysunc_prob::rng::RngCore;
-use sysunc_algebra::{lstsq, Matrix, PolyFamily};
+use sysunc_algebra::{lstsq, Matrix, OrthonormalStep, PolyFamily};
 use sysunc_sampling::{Design, LatinHypercubeDesign};
 
 /// A fitted polynomial chaos expansion
@@ -24,9 +24,34 @@ pub struct ChaosExpansion {
     coefficients: Vec<f64>,
     /// Number of model evaluations spent building the expansion.
     evaluations: usize,
+    /// Highest total degree of the basis.
+    degree: usize,
+    /// Per input, the `degree` steps of its orthonormal recurrence.
+    steps: Vec<Vec<OrthonormalStep>>,
 }
 
+/// Rows per block of [`ChaosExpansion::eval_u_batch`]'s basis tables.
+const BLOCK: usize = 64;
+
 impl ChaosExpansion {
+    /// Assembles a fitted expansion and computes its recurrence steps.
+    fn assemble(
+        inputs: &[PceInput],
+        indices: Vec<MultiIndex>,
+        coefficients: Vec<f64>,
+        evaluations: usize,
+    ) -> Self {
+        let degree = indices.iter().map(|a| a.iter().sum::<usize>()).max().unwrap_or(0);
+        let steps = inputs
+            .iter()
+            .map(|inp| {
+                let family = inp.family();
+                (0..degree).map(|k| family.orthonormal_step(k)).collect()
+            })
+            .collect();
+        Self { inputs: inputs.to_vec(), indices, coefficients, evaluations, degree, steps }
+    }
+
     /// Fits by spectral projection on a full tensor Gauss grid with
     /// `degree + 1` points per dimension (exact for polynomial models up to
     /// `degree`).
@@ -97,12 +122,7 @@ impl ChaosExpansion {
                 *c += w * y * psi;
             }
         }
-        Ok(Self {
-            inputs: inputs.to_vec(),
-            indices,
-            coefficients,
-            evaluations: nodes.len(),
-        })
+        Ok(Self::assemble(inputs, indices, coefficients, nodes.len()))
     }
 
     /// Fits by ordinary least-squares regression on `n` Latin-hypercube
@@ -156,7 +176,7 @@ impl ChaosExpansion {
             }
         }
         let coefficients = lstsq(&a, &b)?;
-        Ok(Self { inputs: inputs.to_vec(), indices, coefficients, evaluations: n })
+        Ok(Self::assemble(inputs, indices, coefficients, n))
     }
 
     /// The multi-index set of the basis.
@@ -187,42 +207,111 @@ impl ChaosExpansion {
     /// Evaluates the surrogate at a unit-hypercube point: each coordinate
     /// `u_i ∈ (0, 1)` is mapped through the germ quantile of input `i`.
     /// This is the bridge that lets any design-of-experiment engine (LHS,
-    /// Sobol', ...) sample the fitted surrogate.
+    /// Sobol', ...) sample the fitted surrogate. It is a one-row call of
+    /// the kernel behind [`ChaosExpansion::eval_u_batch`], through the
+    /// same germ map.
     ///
     /// # Panics
     ///
     /// Panics if `u.len()` differs from the input dimension.
     pub fn eval_u(&self, u: &[f64]) -> f64 {
         assert_eq!(u.len(), self.inputs.len(), "eval_u: dimension mismatch");
-        let germ: Vec<f64> = u
-            .iter()
-            .zip(&self.inputs)
-            .map(|(&ui, inp)| inp.germ_quantile(ui.clamp(1e-12, 1.0 - 1e-12)))
-            .collect();
-        self.eval_germ(&germ)
+        let mut out = [0.0];
+        self.eval_blocks(&mut out, |d, _, xi| self.inputs[d].germ_fill(&u[d..=d], xi));
+        out[0]
     }
 
-    /// Evaluates the surrogate at a germ point.
+    /// Evaluates the surrogate at unit-hypercube rows held as columns
+    /// (`columns[i][r]` is coordinate `i` of row `r`) into `out`, bit for
+    /// bit what [`ChaosExpansion::eval_u`] returns for each row. Each
+    /// coordinate is clamped to `[1e-12, 1 − 1e-12]` and mapped through
+    /// the germ quantile of its input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns.len()` differs from the input dimension or a
+    /// column's length from `out.len()`.
+    pub fn eval_u_batch(&self, columns: &[&[f64]], out: &mut [f64]) {
+        assert_eq!(columns.len(), self.inputs.len(), "eval_u_batch: dimension mismatch");
+        assert!(
+            columns.iter().all(|c| c.len() == out.len()),
+            "eval_u_batch: column lengths differ from the output's"
+        );
+        self.eval_blocks(out, |d, lo, germ| {
+            self.inputs[d].germ_fill(&columns[d][lo..lo + germ.len()], germ);
+        });
+    }
+
+    /// Evaluates the surrogate at a germ point: a one-row call of the
+    /// kernel behind [`ChaosExpansion::eval_u_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `germ.len()` differs from the input dimension.
     pub fn eval_germ(&self, germ: &[f64]) -> f64 {
         assert_eq!(germ.len(), self.inputs.len(), "eval_germ: dimension mismatch");
-        let degree = self.indices.iter().map(|a| a.iter().sum::<usize>()).max().unwrap_or(0);
-        let uni: Vec<Vec<f64>> = self
-            .inputs
-            .iter()
-            .zip(germ)
-            .map(|(inp, &xi)| inp.family().eval_orthonormal(degree, xi))
-            .collect();
-        self.indices
-            .iter()
-            .zip(&self.coefficients)
-            .map(|(alpha, &c)| {
-                c * alpha.iter().enumerate().map(|(d, &k)| uni[d][k]).product::<f64>()
-            })
-            .sum()
+        let mut out = [0.0];
+        self.eval_blocks(&mut out, |d, _, xi| xi[0] = germ[d]);
+        out[0]
+    }
+
+    /// The surrogate kernel: `out` in blocks of [`BLOCK`] rows. For each
+    /// block, `fill_germ(i, first_row, germ)` writes the block's germ
+    /// values of input `i`; each input's orthonormal basis goes into a
+    /// table `p_k(ξ)[row]`, and the terms are summed in index order. Every
+    /// operation is the one the row-wise evaluation performs, in the same
+    /// order: the basis is [`PolyFamily::eval_orthonormal`]'s recurrence,
+    /// a term is `c · ((p_{α_0} · p_{α_1}) · …)`, and the sum starts from
+    /// `Iterator::sum`'s start value.
+    fn eval_blocks(&self, out: &mut [f64], mut fill_germ: impl FnMut(usize, usize, &mut [f64])) {
+        if out.is_empty() {
+            return;
+        }
+        let width = out.len().min(BLOCK);
+        let stride = (self.degree + 1) * width;
+        let mut tables = vec![0.0; (self.inputs.len() * stride) + 2 * width];
+        let (basis, rest) = tables.split_at_mut(self.inputs.len() * stride);
+        let (germ, psi) = rest.split_at_mut(width);
+        let start: f64 = std::iter::empty::<f64>().sum();
+        for (block, rows) in out.chunks_mut(width).enumerate() {
+            let n = rows.len();
+            for (d, steps) in self.steps.iter().enumerate() {
+                let xi = &mut germ[..n];
+                fill_germ(d, block * width, xi);
+                let table = &mut basis[d * stride..(d + 1) * stride];
+                table[..n].fill(1.0);
+                for (k, step) in steps.iter().enumerate() {
+                    let (done, rest) = table.split_at_mut((k + 1) * width);
+                    let curr = &done[k * width..][..n];
+                    let next = &mut rest[..n];
+                    if k == 0 {
+                        for ((y, &x), &c) in next.iter_mut().zip(xi.iter()).zip(curr) {
+                            *y = step.apply(x, c, 0.0);
+                        }
+                    } else {
+                        let prev = &done[(k - 1) * width..][..n];
+                        for (((y, &x), &c), &p) in
+                            next.iter_mut().zip(xi.iter()).zip(curr).zip(prev)
+                        {
+                            *y = step.apply(x, c, p);
+                        }
+                    }
+                }
+            }
+            rows.fill(start);
+            for (alpha, &c) in self.indices.iter().zip(&self.coefficients) {
+                let psi = &mut psi[..n];
+                psi.copy_from_slice(&basis[alpha[0] * width..][..n]);
+                for (d, &k) in alpha.iter().enumerate().skip(1) {
+                    for (p, &v) in psi.iter_mut().zip(&basis[d * stride + k * width..][..n]) {
+                        *p *= v;
+                    }
+                }
+                for (y, &p) in rows.iter_mut().zip(psi.iter()) {
+                    *y += c * p;
+                }
+            }
+        }
     }
 
     /// Mean of the surrogate output (`c_0` by orthonormality).
@@ -288,8 +377,7 @@ impl ChaosExpansion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sysunc_prob::rng::StdRng;
-    use sysunc_prob::rng::SeedableRng;
+    use sysunc_prob::rng::{Rng, SeedableRng, StdRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
@@ -365,6 +453,83 @@ mod tests {
             assert!((pce.eval_u(&[u0, u1]) - pce.eval_germ(&germ)).abs() < 1e-12);
         }
         assert_eq!(pce.inputs().len(), 2);
+    }
+
+    /// The row-wise surrogate as it was before the column kernel: germ
+    /// `Vec`, one `eval_orthonormal` table per input, product and sum by
+    /// iterator.
+    fn row_reference(pce: &ChaosExpansion, u: &[f64]) -> f64 {
+        let germ: Vec<f64> = u
+            .iter()
+            .zip(pce.inputs())
+            .map(|(&ui, inp)| inp.germ_quantile(ui.clamp(1e-12, 1.0 - 1e-12)))
+            .collect();
+        let degree = pce.indices().iter().map(|a| a.iter().sum::<usize>()).max().unwrap_or(0);
+        let uni: Vec<Vec<f64>> = pce
+            .inputs()
+            .iter()
+            .zip(&germ)
+            .map(|(inp, &xi)| inp.family().eval_orthonormal(degree, xi))
+            .collect();
+        pce.indices()
+            .iter()
+            .zip(pce.coefficients())
+            .map(|(alpha, &c)| {
+                c * alpha.iter().enumerate().map(|(d, &k)| uni[d][k]).product::<f64>()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn column_kernel_is_bit_identical_to_the_row_path_on_every_germ_family() {
+        let inputs = [
+            PceInput::Normal { mu: 1.0, sigma: 0.5 },
+            PceInput::Uniform { a: 0.0, b: 4.0 },
+            PceInput::Exponential { rate: 2.0 },
+            PceInput::Beta { alpha: 2.5, beta: 1.5 },
+        ];
+        let model = |x: &[f64]| (x[0] * x[1]).sin() + x[2] * x[3] - x[0] * x[0] * x[3];
+        let pce = ChaosExpansion::fit_projection(&inputs, 3, model).unwrap();
+        let one = ChaosExpansion::fit_projection(&inputs[3..], 4, |x| x[0].exp()).unwrap();
+        let mut r = rng();
+        // Ragged against the 64-row block: short, exact, one over, many.
+        for n in [1, 7, 64, 65, 130, 257] {
+            for (fit, dim) in [(&pce, 4), (&one, 1)] {
+                // Uniform draws plus the clamp's edges and beyond.
+                let cols: Vec<Vec<f64>> = (0..dim)
+                    .map(|j| {
+                        (0..n)
+                            .map(|i| match (i + j) % 9 {
+                                0 => 0.0,
+                                1 => 1.0,
+                                2 => 1e-13,
+                                _ => r.random::<f64>(),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let columns: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+                let mut out = vec![f64::NAN; n];
+                fit.eval_u_batch(&columns, &mut out);
+                for (i, &y) in out.iter().enumerate() {
+                    let u: Vec<f64> = cols.iter().map(|c| c[i]).collect();
+                    let expect = row_reference(fit, &u);
+                    assert_eq!(y.to_bits(), expect.to_bits(), "n={n} dim={dim} row {i}");
+                    assert_eq!(fit.eval_u(&u).to_bits(), expect.to_bits(), "eval_u, row {i}");
+                }
+            }
+        }
+        let germ = [0.3, -0.7, 1.9, 0.25];
+        let uni: Vec<Vec<f64>> =
+            inputs.iter().zip(germ).map(|(inp, xi)| inp.family().eval_orthonormal(3, xi)).collect();
+        let expect: f64 = pce
+            .indices()
+            .iter()
+            .zip(pce.coefficients())
+            .map(|(a, &c)| c * a.iter().enumerate().map(|(d, &k)| uni[d][k]).product::<f64>())
+            .sum();
+        assert_eq!(pce.eval_germ(&germ).to_bits(), expect.to_bits());
+        pce.eval_u_batch(&[&[], &[], &[], &[]], &mut []);
     }
 
     #[test]

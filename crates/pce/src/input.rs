@@ -2,7 +2,7 @@
 //! Wiener–Askey germ (orthogonal polynomial family).
 
 use sysunc_algebra::PolyFamily;
-use sysunc_prob::special::inverse_standard_normal_cdf;
+use sysunc_prob::special::{inverse_standard_normal_cdf, IncompleteBeta};
 
 /// A physical input random variable paired with its polynomial-chaos germ.
 ///
@@ -75,8 +75,23 @@ impl PceInput {
             PceInput::Normal { .. } => inverse_standard_normal_cdf(u),
             PceInput::Uniform { .. } => 2.0 * u - 1.0,
             PceInput::Exponential { .. } => -(-u).ln_1p(),
-            PceInput::Beta { alpha, beta } => {
-                2.0 * sysunc_prob::special::inv_reg_inc_beta(alpha, beta, u) - 1.0
+            PceInput::Beta { alpha, beta } => beta_germ(&IncompleteBeta::new(alpha, beta), u),
+        }
+    }
+
+    /// `germ_quantile(u.clamp(1e-12, 1 − 1e-12))` for every `u`, into
+    /// `out`: the map [`crate::ChaosExpansion::eval_u`] applies. A Beta
+    /// input computes `ln B` once for the whole slice.
+    pub(crate) fn germ_fill(&self, u: &[f64], out: &mut [f64]) {
+        let clamp = |u: f64| u.clamp(1e-12, 1.0 - 1e-12);
+        if let PceInput::Beta { alpha, beta } = *self {
+            let inc = IncompleteBeta::new(alpha, beta);
+            for (xi, &u) in out.iter_mut().zip(u) {
+                *xi = beta_germ(&inc, clamp(u));
+            }
+        } else {
+            for (xi, &u) in out.iter_mut().zip(u) {
+                *xi = self.germ_quantile(clamp(u));
             }
         }
     }
@@ -90,6 +105,12 @@ impl PceInput {
             PceInput::Beta { alpha, beta } => alpha / (alpha + beta),
         }
     }
+}
+
+/// The Jacobi germ of a Beta input at level `u`: its quantile mapped to
+/// `[-1, 1]`.
+fn beta_germ(inc: &IncompleteBeta, u: f64) -> f64 {
+    2.0 * inc.inverse(u) - 1.0
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use super::{Continuous, Gamma, Support};
 use crate::error::{ProbError, Result};
-use crate::special::{inv_reg_inc_beta, ln_beta, reg_inc_beta};
+use crate::special::IncompleteBeta;
 use crate::rng::RngCore;
 
 /// Beta distribution on `[0, 1]` with shape parameters `alpha` and `beta`.
@@ -25,6 +25,8 @@ use crate::rng::RngCore;
 pub struct Beta {
     alpha: f64,
     beta: f64,
+    /// `I_x(alpha, beta)` with `ln B(alpha, beta)` computed once.
+    inc: IncompleteBeta,
 }
 
 impl Beta {
@@ -40,7 +42,11 @@ impl Beta {
                 "Beta requires alpha > 0 and beta > 0, got ({alpha}, {beta})"
             )));
         }
-        Ok(Self { alpha, beta })
+        Ok(Self::from_shapes(alpha, beta))
+    }
+
+    fn from_shapes(alpha: f64, beta: f64) -> Self {
+        Self { alpha, beta, inc: IncompleteBeta::new(alpha, beta) }
     }
 
     /// First shape parameter.
@@ -56,7 +62,7 @@ impl Beta {
     /// Bayesian update with `successes` and `failures` Bernoulli
     /// observations (conjugacy).
     pub fn updated(&self, successes: u64, failures: u64) -> Self {
-        Self { alpha: self.alpha + successes as f64, beta: self.beta + failures as f64 }
+        Self::from_shapes(self.alpha + successes as f64, self.beta + failures as f64)
     }
 
     /// Width of the central credible interval at level `level` (e.g. 0.95) —
@@ -95,8 +101,7 @@ impl Continuous for Beta {
         if (x == 0.0 && self.alpha > 1.0) || (x == 1.0 && self.beta > 1.0) {
             return f64::NEG_INFINITY;
         }
-        (self.alpha - 1.0) * x.ln() + (self.beta - 1.0) * (1.0 - x).ln()
-            - ln_beta(self.alpha, self.beta)
+        (self.alpha - 1.0) * x.ln() + (self.beta - 1.0) * (1.0 - x).ln() - self.inc.ln_beta()
     }
 
     fn cdf(&self, x: f64) -> f64 {
@@ -105,12 +110,12 @@ impl Continuous for Beta {
         } else if x >= 1.0 {
             1.0
         } else {
-            reg_inc_beta(self.alpha, self.beta, x)
+            self.inc.cdf(x)
         }
     }
 
     fn quantile(&self, p: f64) -> f64 {
-        inv_reg_inc_beta(self.alpha, self.beta, p)
+        self.inc.inverse(p)
     }
 
     fn mean(&self) -> f64 {
@@ -140,6 +145,7 @@ impl Continuous for Beta {
 mod tests {
     use super::super::testutil;
     use super::*;
+    use crate::special::{inv_reg_inc_beta, ln_beta, reg_inc_beta};
 
     #[test]
     fn rejects_bad_parameters() {
@@ -160,6 +166,20 @@ mod tests {
     fn quantile_round_trip() {
         let b = Beta::new(2.5, 4.0).unwrap();
         testutil::check_quantile_cdf_round_trip(&b, &[0.05, 0.2, 0.5, 0.8], 1e-9);
+    }
+
+    #[test]
+    fn fill_matches_scalar_and_cached_ln_beta_changes_no_bits() {
+        testutil::check_fills_match_scalar(&Beta::new(0.4, 7.0).unwrap(), 35);
+        let b = Beta::new(2.5, 4.0).unwrap().updated(3, 1);
+        for &x in &[1e-9, 0.2, 0.5, 0.97] {
+            assert_eq!(b.cdf(x).to_bits(), reg_inc_beta(5.5, 5.0, x).to_bits());
+            let direct = 4.5 * x.ln() + 4.0 * (1.0 - x).ln() - ln_beta(5.5, 5.0);
+            assert_eq!(b.ln_pdf(x).to_bits(), direct.to_bits());
+        }
+        for &p in &[1e-12, 0.3, 0.999] {
+            assert_eq!(b.quantile(p).to_bits(), inv_reg_inc_beta(5.5, 5.0, p).to_bits());
+        }
     }
 
     #[test]

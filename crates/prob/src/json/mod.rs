@@ -247,11 +247,11 @@ impl JsonError {
 ///
 /// Returns [`JsonError::Parse`] with a byte offset for malformed input.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing characters after value"));
     }
     Ok(v)
@@ -261,7 +261,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -271,7 +271,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -290,7 +290,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -396,21 +396,18 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(c) if c < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Copy a full UTF-8 scalar (the input is a &str, so
-                    // byte boundaries are guaranteed valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = match s.chars().next() {
-                        Some(c) => c,
-                        None => return Err(self.err("unterminated string")),
-                    };
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte in one piece. All three
+                    // are ASCII, so the run ends on a character boundary
+                    // of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = self.text.get(start..self.pos);
+                    out.push_str(run.ok_or_else(|| self.err("invalid UTF-8"))?);
                 }
             }
         }
@@ -423,7 +420,7 @@ impl<'a> Parser<'a> {
         let hi = self.hex4()?;
         if (0xD800..0xDC00).contains(&hi) {
             // High surrogate: require a low surrogate right behind it.
-            if self.bytes[self.pos..].starts_with(b"\\u") {
+            if self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                 self.pos += 2;
                 let lo = self.hex4()?;
                 if (0xDC00..0xE000).contains(&lo) {
@@ -486,7 +483,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let text = std::str::from_utf8(&self.text.as_bytes()[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
         if integral && !text.starts_with('-') {
             if let Ok(n) = text.parse::<u64>() {
@@ -723,6 +720,47 @@ mod tests {
         // Surrogate pair for 𝄞 (U+1D11E).
         assert_eq!(parse(r#""𝄞""#).unwrap().as_str(), Some("𝄞"));
         assert!(parse(r#""\ud834""#).is_err(), "unpaired surrogate");
+    }
+
+    #[test]
+    fn multibyte_runs_between_escapes_decode_whole() {
+        let text = r#""é→\n𝄞\"üé\\日本𝄞\t末""#;
+        assert_eq!(parse(text).unwrap().as_str(), Some("é→\n𝄞\"üé\\日本𝄞\t末"));
+        // A control byte right after a multi-byte run is refused where it
+        // stands, and a run cut by the end of input is unterminated.
+        let err = parse("\"日本\u{1}\"").unwrap_err();
+        assert!(
+            matches!(&err, JsonError::Parse { at: 7, message } if message.contains("control")),
+            "{err}"
+        );
+        assert!(matches!(parse("\"日本"), Err(JsonError::Parse { at: 7, .. })));
+    }
+
+    /// Parse time of one JSON string of `bytes` plain characters (best of
+    /// five, after a warm-up).
+    fn string_parse_time(bytes: usize) -> std::time::Duration {
+        let text = format!("\"{}\"", "aé→".repeat(bytes / 6));
+        (0..6)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                let v = parse(&text).unwrap();
+                let took = t.elapsed();
+                assert_eq!(v.as_str().map(str::len), Some(text.len() - 2));
+                took
+            })
+            .skip(1)
+            .min()
+            .unwrap()
+    }
+
+    #[test]
+    #[ignore = "release timing tier: run via ci.sh"]
+    fn string_parsing_is_linear_in_the_string_length() {
+        // Linear code reads about 4x; the quadratic decoder read 14x.
+        let ratio = string_parse_time(256 * 1024).as_secs_f64()
+            / string_parse_time(64 * 1024).as_secs_f64();
+        eprintln!("256 KiB / 64 KiB string parse time: {ratio:.2}x");
+        assert!(ratio < 8.0, "string parsing grows {ratio:.1}x for 4x the length");
     }
 
     #[test]

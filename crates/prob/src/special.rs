@@ -12,6 +12,18 @@
 //! region, no refinement step); measured against the in-tree
 //! `standard_normal_cdf` it satisfies `|Φ(x) − p| ≤ 16·(1 + x²)·ε·p` from
 //! `p = 1e-300` to `0.5`, and it is exactly odd about `p = 0.5`.
+//!
+//! The Beta quantile ([`IncompleteBeta::inverse`], behind
+//! `inv_reg_inc_beta`) starts from a closed form (Abramowitz–Stegun
+//! 26.5.22 through AS241 when both shapes are at least 1, else the
+//! power-law tails of Numerical Recipes' `invbetai`) and takes guarded
+//! Halley steps inside a bracket, with `ln B(a, b)` computed once and the
+//! density taken from the CDF's own front factor. On shapes in
+//! `[1.5, 4]` it needs about 3.3 CDF evaluations per value (the
+//! Newton–bisection it replaced needed 12–14). Measured against
+//! [`IncompleteBeta::cdf`] on shapes `{0.1, …, 300}` and levels down to
+//! `1e-15` in either tail: `|I_x − p| ≤ 256·(ε·s + pdf(x)·ulp(x))` with
+//! `s = p` up to 1/2 and 1 above, and non-decreasing in `p`.
 
 /// Natural logarithm of `sqrt(2 * pi)`.
 pub const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_74;
@@ -269,19 +281,213 @@ pub fn ln_beta(a: f64, b: f64) -> f64 {
 /// Panics if `a <= 0`, `b <= 0` or `x` is outside `[0, 1]`.
 pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "reg_inc_beta: requires a, b > 0, got ({a}, {b})");
-    assert!((0.0..=1.0).contains(&x), "reg_inc_beta: x in [0,1], got {x}");
-    if x == 0.0 {
-        return 0.0;
+    IncompleteBeta::new(a, b).cdf(x)
+}
+
+/// Inverse of the regularized incomplete beta: finds `x` with `I_x(a, b) = p`.
+///
+/// See [`IncompleteBeta::inverse`] for the algorithm and its accuracy.
+///
+/// # Panics
+///
+/// Panics if `a <= 0`, `b <= 0` or `p` is outside `[0, 1]`.
+pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> f64 {
+    assert!(a > 0.0 && b > 0.0, "inv_reg_inc_beta: requires a, b > 0, got ({a}, {b})");
+    IncompleteBeta::new(a, b).inverse(p)
+}
+
+/// The regularized incomplete beta function `I_x(a, b)` of fixed shapes,
+/// with `ln B(a, b)` computed once: the CDF and quantile of a
+/// `Beta(a, b)` law. [`reg_inc_beta`] and [`inv_reg_inc_beta`] are
+/// one-off calls of it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IncompleteBeta {
+    a: f64,
+    b: f64,
+    ln_b: f64,
+}
+
+impl IncompleteBeta {
+    /// The function of shapes `a`, `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a <= 0` or `b <= 0`.
+    pub fn new(a: f64, b: f64) -> Self {
+        Self { a, b, ln_b: ln_beta(a, b) }
     }
-    #[expect(clippy::float_cmp, reason = "x = 1 is the exact closed end of the integration range")]
-    if x == 1.0 {
-        return 1.0;
+
+    /// `ln B(a, b)`, as [`ln_beta`] computes it.
+    pub fn ln_beta(&self) -> f64 {
+        self.ln_b
     }
-    let front = (a * x.ln() + b * (1.0 - x).ln() - ln_beta(a, b)).exp();
-    if x < (a + 1.0) / (a + b + 2.0) {
+
+    /// `I_x(a, b)`.
+    /// Range: `[0, 1]`, non-decreasing in `x`, `0` at `x = 0` and `1` at `x = 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is outside `[0, 1]`.
+    pub fn cdf(&self, x: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&x), "reg_inc_beta: x in [0,1], got {x}");
+        if x == 0.0 {
+            return 0.0;
+        }
+        #[expect(
+            clippy::float_cmp,
+            reason = "x = 1 is the exact closed end of the integration range"
+        )]
+        if x == 1.0 {
+            return 1.0;
+        }
+        cdf_and_front(self.a, self.b, self.ln_b, x).0
+    }
+
+    /// The `x` with `I_x(a, b) = p`.
+    ///
+    /// Above `p = 1/2`, when the start lies above `x = 1/2`, it solves
+    /// `I_y(b, a) = 1 − p` (exact by Sterbenz) and returns `1 − y`, so an
+    /// upper tail is found relative to its own probability; otherwise it
+    /// solves `I_x(a, b) = p`, which keeps a small `x` exact. The solve
+    /// starts from a closed form: Abramowitz–Stegun 26.5.22 through
+    /// [`inverse_standard_normal_cdf`] when both shapes are at least 1,
+    /// else the power-law tail start of Numerical Recipes' `invbetai`.
+    /// Each iteration makes one CDF evaluation and keeps a bracket
+    /// `[lo, hi]` of the root. It then steps by Halley on
+    /// `I_x − p` (density from the CDF's front factor), by Newton on
+    /// `ln I_x` against `ln x` while `I_x` is more than a factor 2 from
+    /// `p` (exact for a power-law tail), and bisects whenever a step would
+    /// leave the bracket. It stops when a Halley step is below
+    /// `1e-10 · min(x, 1 − x)` (the next error is then about its cube) or
+    /// the bracket is a few ulps wide.
+    ///
+    /// Accuracy, against [`IncompleteBeta::cdf`] on `a, b` in
+    /// `{0.1, 0.3, 0.5, 0.9, 1, 1.5, 2.5, 4, 10, 100, 300}` and `p` on
+    /// `k/1000` plus `10^(−j/10)` and `1 − 10^(−j/10)` for `j = 30..=150`:
+    /// `|I_x − p| ≤ 256·(ε·s + pdf(x)·ulp(x))` with `s = p` for `p ≤ 1/2`
+    /// and `s = 1` above (the worst point, 234 at `(300, 300, 1/2)`, is
+    /// the CDF's own error: `I_{1/2}(300, 300)` reads `1/2 + 1.4e-13`), and
+    /// the result is non-decreasing in `p` on every shape there. On
+    /// `a, b ∈ [1.5, 4]` it needs about 3.3 CDF evaluations per value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    pub fn inverse(&self, p: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&p), "inv_reg_inc_beta: p in [0,1], got {p}");
+        if p == 0.0 {
+            return 0.0;
+        }
+        #[expect(
+            clippy::float_cmp,
+            reason = "p = 1 is the exact closed end of the probability domain"
+        )]
+        if p == 1.0 {
+            return 1.0;
+        }
+        let x0 = beta_start(self.a, self.b, p);
+        if p > 0.5 && x0 > 0.5 {
+            let y0 = beta_start(self.b, self.a, 1.0 - p);
+            1.0 - root(self.b, self.a, self.ln_b, 1.0 - p, y0)
+        } else {
+            root(self.a, self.b, self.ln_b, p, x0)
+        }
+    }
+}
+
+/// `(I_x(a, b), x^a (1 − x)^b / B(a, b))` for `x` in `(0, 1)`, with
+/// `ln_b = ln B(a, b)`: the front factor is computed once and serves
+/// whichever continued fraction converges, and the density
+/// `front / (x (1 − x))`.
+fn cdf_and_front(a: f64, b: f64, ln_b: f64, x: f64) -> (f64, f64) {
+    let front = (a * x.ln() + b * (1.0 - x).ln() - ln_b).exp();
+    let cdf = if x < (a + 1.0) / (a + b + 2.0) {
         front * beta_cf(a, b, x) / a
     } else {
-        1.0 - (a * x.ln() + b * (1.0 - x).ln() - ln_beta(a, b)).exp() * beta_cf(b, a, 1.0 - x) / b
+        1.0 - front * beta_cf(b, a, 1.0 - x) / b
+    };
+    #[cfg(test)]
+    CDF_EVALS.with(|n| n.set(n.get() + 1));
+    (cdf, front)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `cdf_and_front` calls on this thread, for the evaluation-count test.
+    static CDF_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Iteration cap of [`root`]; a bisection-only solve from `[0, 1]`
+/// reaches `f64::MIN_POSITIVE` in fewer steps.
+const ROOT_STEPS: usize = 100;
+
+/// Solves `I_x(a, b) = p` for `0 < p < 1` from the start `x0`; see
+/// [`IncompleteBeta::inverse`].
+fn root(a: f64, b: f64, ln_b: f64, p: f64, x0: f64) -> f64 {
+    let mut x = x0.clamp(f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0);
+    let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+    for _ in 0..ROOT_STEPS {
+        let (cdf, front) = cdf_and_front(a, b, ln_b, x);
+        let f = cdf - p;
+        if f < 0.0 {
+            lo = x;
+        } else if f > 0.0 {
+            hi = x;
+        } else {
+            return x;
+        }
+        let mut halley = false;
+        let mut next = if cdf > 2.0 * p || cdf < 0.5 * p {
+            // Far from the root: Newton on ln I against ln x.
+            x * (-(cdf / p).ln() * cdf * (1.0 - x) / front).exp()
+        } else {
+            // `f / pdf`, with the density taken from the front factor.
+            let newton = f * (x * (1.0 - x)) / front;
+            let bend = 0.5 * newton * ((a - 1.0) / x - (b - 1.0) / (1.0 - x));
+            halley = bend.abs() <= 0.5;
+            if halley {
+                x - newton / (1.0 - bend)
+            } else {
+                x - newton
+            }
+        };
+        if !(next > lo && next < hi) {
+            halley = false;
+            next = if lo > 0.0 && hi > 4.0 * lo { lo.sqrt() * hi.sqrt() } else { 0.5 * (lo + hi) };
+        }
+        if halley && (next - x).abs() <= 1e-10 * next.min(1.0 - next) {
+            return next;
+        }
+        if hi - lo <= 4.0 * f64::EPSILON * hi {
+            return next;
+        }
+        x = next;
+    }
+    x
+}
+
+/// Closed-form start for [`root`].
+fn beta_start(a: f64, b: f64, p: f64) -> f64 {
+    if a >= 1.0 && b >= 1.0 {
+        // Abramowitz–Stegun 26.5.22, with y the upper-tail normal
+        // deviate: Q(y) = p.
+        let y = -inverse_standard_normal_cdf(p);
+        let lambda = (y * y - 3.0) / 6.0;
+        let (ra, rb) = (1.0 / (2.0 * a - 1.0), 1.0 / (2.0 * b - 1.0));
+        let h = 2.0 / (ra + rb);
+        let w = y * (h + lambda).sqrt() / h - (rb - ra) * (lambda + 5.0 / 6.0 - 2.0 / (3.0 * h));
+        a / (a + b * (2.0 * w).exp())
+    } else {
+        // Numerical Recipes (3rd ed.), `invbetai`: power-law tails
+        // `x^a / (a w)` and `(1 − x)^b / (b w)`.
+        let t = (a * (a / (a + b)).ln()).exp() / a;
+        let u = (b * (b / (a + b)).ln()).exp() / b;
+        let w = t + u;
+        if p < t / w {
+            (a * w * p).powf(1.0 / a)
+        } else {
+            1.0 - (b * w * (1.0 - p)).powf(1.0 / b)
+        }
     }
 }
 
@@ -331,49 +537,6 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
         }
     }
     h
-}
-
-/// Inverse of the regularized incomplete beta: finds `x` with `I_x(a, b) = p`.
-///
-/// Safeguarded Newton iteration bracketed by bisection.
-///
-/// # Panics
-///
-/// Panics if `a <= 0`, `b <= 0` or `p` is outside `[0, 1]`.
-pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> f64 {
-    assert!(a > 0.0 && b > 0.0, "inv_reg_inc_beta: requires a, b > 0, got ({a}, {b})");
-    assert!((0.0..=1.0).contains(&p), "inv_reg_inc_beta: p in [0,1], got {p}");
-    if p == 0.0 {
-        return 0.0;
-    }
-    #[expect(clippy::float_cmp, reason = "p = 1 is the exact closed end of the probability domain")]
-    if p == 1.0 {
-        return 1.0;
-    }
-    let mut lo = 0.0_f64;
-    let mut hi = 1.0_f64;
-    let mut x = a / (a + b); // mean as starting point
-    let ln_b = ln_beta(a, b);
-    for _ in 0..200 {
-        let f = reg_inc_beta(a, b, x) - p;
-        if f > 0.0 {
-            hi = x;
-        } else {
-            lo = x;
-        }
-        let ln_pdf = (a - 1.0) * x.ln() + (b - 1.0) * (1.0 - x).ln() - ln_b;
-        let dfdx = ln_pdf.exp();
-        let mut x_new = if dfdx > 0.0 { x - f / dfdx } else { 0.5 * (lo + hi) };
-        if !(x_new > lo && x_new < hi) || !x_new.is_finite() {
-            x_new = 0.5 * (lo + hi);
-        }
-        if (x_new - x).abs() <= 1e-15 * x.abs().max(1e-300) {
-            x = x_new;
-            break;
-        }
-        x = x_new;
-    }
-    x
 }
 
 /// The error function `erf(x)`, computed from the regularized incomplete
@@ -688,6 +851,96 @@ mod tests {
                 close(reg_inc_beta(a, b, x), p, 1e-10);
             }
         }
+    }
+
+    /// `k/1000` plus `10^(−j/10)` and `1 − 10^(−j/10)` for `j = 30..=150`,
+    /// ascending.
+    fn beta_grid_levels() -> Vec<f64> {
+        let mut ps: Vec<f64> = (1..1000).map(|k| f64::from(k) / 1000.0).collect();
+        for j in 30..=150 {
+            let t = 10f64.powf(-f64::from(j) / 10.0);
+            ps.extend([t, 1.0 - t]);
+        }
+        ps.sort_by(f64::total_cmp);
+        ps
+    }
+
+    /// Backward error of `x` as a solution of `I_x(a, b) = p`, in units
+    /// of `ε·s + pdf(x)·ulp(x)` (`s = p` up to 1/2, else 1): how many
+    /// rounding errors of `p` and of `x` it is worth.
+    fn beta_backward_error(inc: &IncompleteBeta, p: f64, x: f64) -> f64 {
+        let (a, b) = (inc.a, inc.b);
+        let ulp = if x >= 1.0 { 1.0 - 1.0f64.next_down() } else { x.next_up() - x };
+        let pdf = if x > 0.0 && x < 1.0 {
+            ((a - 1.0) * x.ln() + (b - 1.0) * (1.0 - x).ln() - inc.ln_beta()).exp()
+        } else {
+            // The density's limit at the end: 0, 1/B or +∞.
+            let shape = if x <= 0.0 { a } else { b };
+            match shape.partial_cmp(&1.0) {
+                Some(std::cmp::Ordering::Greater) => 0.0,
+                Some(std::cmp::Ordering::Equal) => (-inc.ln_beta()).exp(),
+                _ => f64::INFINITY,
+            }
+        };
+        let s = if p <= 0.5 { p } else { 1.0 };
+        (inc.cdf(x) - p).abs() / (f64::EPSILON * s + pdf * ulp)
+    }
+
+    #[test]
+    fn inverse_incomplete_beta_meets_its_backward_error_bound_on_the_grid() {
+        // The bound and monotonicity are IncompleteBeta::inverse's doc.
+        // The worst point, 234 at (300, 300, 1/2), sits on the CDF's
+        // branch switch, where I_{1/2}(300, 300) itself reads 1/2 + 1.4e-13.
+        const C: f64 = 256.0;
+        let shapes = [0.1, 0.3, 0.5, 0.9, 1.0, 1.5, 2.5, 4.0, 10.0, 100.0, 300.0];
+        let ps = beta_grid_levels();
+        assert_eq!(ps.len(), 999 + 2 * 121);
+        for a in shapes {
+            for b in shapes {
+                let inc = IncompleteBeta::new(a, b);
+                let mut prev = 0.0;
+                for &p in &ps {
+                    let x = inc.inverse(p);
+                    let c = beta_backward_error(&inc, p, x);
+                    assert!(c <= C, "({a}, {b}, p={p:e}): x={x:e}, backward error {c:.1} > {C}");
+                    assert!(x >= prev, "({a}, {b}): not monotone at p={p:e}: {x:e} < {prev:e}");
+                    prev = x;
+                }
+            }
+        }
+        // Lopsided shapes that a Halley step without a bracket and a
+        // guard on its bend gets wrong (it stops on a tiny damped step).
+        for (a, b, p) in [(100.0, 1.5, 1.256_615_037_776_734_5e-6), (1.0, 300.0, 0.997)] {
+            let inc = IncompleteBeta::new(a, b);
+            let x = inc.inverse(p);
+            let c = beta_backward_error(&inc, p, x);
+            assert!(c <= C, "({a}, {b}, p={p:e}): x={x:e}, I_x={:e}", inc.cdf(x));
+        }
+    }
+
+    #[test]
+    fn inverse_incomplete_beta_takes_about_three_cdf_evaluations_per_value() {
+        // Shapes in [1.5, 4] (the served Beta inputs' range), levels on
+        // an interior grid and the served clamp ends.
+        let shapes = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0];
+        let ps: Vec<f64> = (0..256)
+            .map(|i| (f64::from(i) + 0.5) / 256.0)
+            .chain([1e-15, 1e-9, 1.0 - 1e-9, 1.0 - 1e-15])
+            .collect();
+        let before = CDF_EVALS.with(std::cell::Cell::get);
+        let mut values = 0u64;
+        for a in shapes {
+            for b in shapes {
+                let inc = IncompleteBeta::new(a, b);
+                for &p in &ps {
+                    inc.inverse(p);
+                    values += 1;
+                }
+            }
+        }
+        let mean = (CDF_EVALS.with(std::cell::Cell::get) - before) as f64 / values as f64;
+        eprintln!("mean CDF evaluations per Beta value on [1.5, 4]: {mean:.2}");
+        assert!(mean <= 3.5, "{mean:.2} CDF evaluations per value");
     }
 
     #[test]

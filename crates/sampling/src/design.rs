@@ -114,17 +114,33 @@ impl Design for RandomDesign {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatinHypercubeDesign;
 
+/// Fisher–Yates shuffle of `perm` (strata carried over from the previous
+/// dimension), one draw per position from the last down to the second.
+fn shuffle_strata(perm: &mut [usize], rng: &mut dyn RngCore) {
+    for i in (1..perm.len()).rev() {
+        perm.swap(i, stratum_index(rng.random::<f64>(), i + 1));
+    }
+}
+
+/// `⌊u·m⌋ mod m` for a draw `u ∈ [0, 1 − 2⁻⁵³]`: the product rounds to at
+/// most `m`, so the remainder only ever maps `m` to 0, and a comparison
+/// replaces the integer division.
+fn stratum_index(u: f64, m: usize) -> usize {
+    let k = (u * m as f64) as usize;
+    if k == m {
+        0
+    } else {
+        k
+    }
+}
+
 impl Design for LatinHypercubeDesign {
     fn generate(&self, n: usize, dim: usize, rng: &mut dyn RngCore) -> Result<Vec<Vec<f64>>> {
         check_shape(n, dim)?;
         let mut pts = vec![vec![0.0; dim]; n];
         let mut perm: Vec<usize> = (0..n).collect();
         for j in 0..dim {
-            // Fisher-Yates shuffle of the strata.
-            for i in (1..n).rev() {
-                let k = (rng.random::<f64>() * (i + 1) as f64) as usize % (i + 1);
-                perm.swap(i, k);
-            }
+            shuffle_strata(&mut perm, rng);
             for (i, pt) in pts.iter_mut().enumerate() {
                 pt[j] = (perm[i] as f64 + rng.random::<f64>()) / n as f64;
             }
@@ -145,10 +161,7 @@ impl Design for LatinHypercubeDesign {
         // identical values straight into the columns.
         let mut perm: Vec<usize> = (0..n).collect();
         for j in 0..dim {
-            for i in (1..n).rev() {
-                let k = (rng.random::<f64>() * (i + 1) as f64) as usize % (i + 1);
-                perm.swap(i, k);
-            }
+            shuffle_strata(&mut perm, rng);
             let col = out.col_mut(j);
             for (i, &stratum) in perm.iter().enumerate() {
                 col[i] = (stratum as f64 + rng.random::<f64>()) / n as f64;
@@ -485,6 +498,30 @@ mod tests {
             }
             assert!(seen.iter().all(|&s| s));
         }
+    }
+
+    #[test]
+    fn stratum_index_equals_the_remainder_it_replaces() {
+        let old = |u: f64, m: usize| (u * m as f64) as usize % m;
+        let top = 1.0 - f64::EPSILON / 2.0; // 1 − 2⁻⁵³, the largest draw
+        let mut sizes: Vec<usize> = (1..=4096).collect();
+        for e in 12..=21 {
+            let p = 1usize << e;
+            sizes.extend([p - 1, p, p + 1]);
+        }
+        sizes.extend((0..2000).map(|i| 4097 + i * 1046));
+        for m in sizes {
+            let mut draws = vec![0.0, top, top.next_down(), 0.5];
+            // The boundaries k/m and their neighbours, for a spread of k.
+            for k in [1, 2, m / 3, m / 2, m.saturating_sub(2), m - 1] {
+                let b = k as f64 / m as f64;
+                draws.extend([b.next_down(), b, b.next_up()]);
+            }
+            for u in draws.into_iter().filter(|u| (0.0..=top).contains(u)) {
+                assert_eq!(stratum_index(u, m), old(u, m), "u={u:e}, m={m}");
+            }
+        }
+        assert_eq!(stratum_index(top, 1 << 21), old(top, 1 << 21));
     }
 
     #[test]

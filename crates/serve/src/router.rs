@@ -250,8 +250,8 @@ pub fn healthz_response(
 ///
 /// It bounds memory and how late a `408` can be: a sampling job at the
 /// ceiling holds at most two 16 MiB design matrices, and a job at the
-/// ceiling ran for 0.06–0.22 s in a release build on a 2-vCPU VM
-/// (PROTOCOL.md gives the measured lateness).
+/// ceiling, Beta inputs included, ran for 0.03–0.07 s in a release build
+/// on a 2-vCPU VM (PROTOCOL.md gives the measured lateness).
 pub const COST_CEILING: u64 = 1 << 21;
 
 /// Polynomial terms the spectral engine projects or evaluates per cost
@@ -261,6 +261,11 @@ const PCE_TERMS_PER_UNIT: u64 = 6;
 /// Fixed cost of one spectral surrogate sample (germ transform and
 /// scratch vectors), in cost units.
 const PCE_SAMPLE_BASE: u64 = 5;
+
+/// Extra cost of one Beta-mapped sampled value, in cost units: its
+/// inverse CDF solves `I_x(α, β) = u` by a few continued-fraction
+/// evaluations, where a Normal value costs one rational function.
+const BETA_VALUE_UNITS: u64 = 50;
 
 /// The work `wire` asks of its engine, in sampled values, computed in
 /// saturating arithmetic from the request alone. One unit is about one
@@ -276,7 +281,9 @@ const PCE_SAMPLE_BASE: u64 = 5;
 /// - `pce-spectral`, with `t` expansion terms (degree 5): `6^inputs`
 ///   grid nodes at `⌈t/6⌉` each, plus `max(budget, 1024)` surrogate
 ///   samples at `5 + ⌈t/6⌉` each;
-/// - `evidential`: the focal product times `2^inputs + 1` corner calls.
+/// - `evidential`: the focal product times `2^inputs + 1` corner calls;
+/// - every engine but `evidential`: 50 more units per sampled value of
+///   each Beta input, whose quantile costs ~50× a Normal one.
 ///
 /// An unknown engine costs 0; canonicalization refuses it.
 pub fn job_cost(wire: &WireRequest) -> u64 {
@@ -284,19 +291,24 @@ pub fn job_cost(wire: &WireRequest) -> u64 {
     let dim = u32::try_from(inputs).unwrap_or(u32::MAX);
     // `PropagationRequest::with_budget` runs at least one sample.
     let budget = (wire.budget as u64).max(1);
+    let betas = wire.inputs.iter().filter(|i| matches!(i, UncertainInput::Beta { .. })).count();
+    let beta_units = (betas as u64).saturating_mul(BETA_VALUE_UNITS);
     match wire.engine.as_str() {
-        "monte-carlo" | "sobol-qmc" => budget.saturating_mul(inputs.saturating_add(1)),
-        "latin-hypercube" => {
-            budget.saturating_mul(inputs.saturating_add(1)).saturating_mul(3).div_ceil(2)
+        "monte-carlo" | "sobol-qmc" => {
+            budget.saturating_mul(inputs.saturating_add(1).saturating_add(beta_units))
         }
+        "latin-hypercube" => budget
+            .saturating_mul(inputs.saturating_add(1))
+            .saturating_mul(3)
+            .div_ceil(2)
+            .saturating_add(budget.saturating_mul(beta_units)),
         "pce-spectral" => {
             let degree = SpectralEngine::default().degree as u64;
             let per_term = pce_terms(inputs, degree).div_ceil(PCE_TERMS_PER_UNIT);
             let nodes = (degree + 1).saturating_pow(dim);
             let samples = budget.max(1024);
-            nodes
-                .saturating_mul(per_term)
-                .saturating_add(samples.saturating_mul(per_term.saturating_add(PCE_SAMPLE_BASE)))
+            let per_sample = per_term.saturating_add(PCE_SAMPLE_BASE).saturating_add(beta_units);
+            nodes.saturating_mul(per_term).saturating_add(samples.saturating_mul(per_sample))
         }
         "evidential" => {
             // `propagate_model` condenses each input to at most the
@@ -922,6 +934,17 @@ mod tests {
         // A root below the cell count merges cells in equal groups:
         // ⌊16384^(1/3)⌋ = 25 → 32 / ⌈32/25⌉ = 16 per distribution.
         assert_eq!(priced("evidential", vec![normal, normal, interval], 16_384), 16 * 16 * 9);
+        // A Beta input adds 50 units per sampled value on every sampling
+        // engine and PCE, and nothing on the evidential engine.
+        let beta = UncertainInput::Beta { alpha: 2.0, beta: 3.0 };
+        assert_eq!(priced("monte-carlo", vec![beta, normal], 4096), (3 + 50) * 4096);
+        assert_eq!(priced("sobol-qmc", vec![beta; 2], 4096), (3 + 100) * 4096);
+        assert_eq!(priced("latin-hypercube", vec![beta], 4096), 2 * 4096 * 3 / 2 + 50 * 4096);
+        assert_eq!(priced("pce-spectral", vec![beta, normal], 16), 36 * 4 + 1024 * (9 + 50));
+        assert_eq!(
+            priced("evidential", vec![beta, normal, interval], 16_384),
+            priced("evidential", vec![normal, normal, interval], 16_384)
+        );
         assert_eq!(priced("monte-carlo", vec![normal; 2], usize::MAX), u64::MAX, "saturates");
         assert_eq!(priced("warp", vec![normal], 4096), 0, "unknown engines are refused later");
         for engine in ENGINE_NAMES {
