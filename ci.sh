@@ -17,7 +17,7 @@ echo "== static-analysis gate (--json round-trip) =="
 # check) is exercised via the test suite, so here we only assert shape.
 json="$(cargo run -q --offline -p sysunc-tidy -- --json)"
 case "$json" in
-  '{"schema":"sysunc-tidy/3"'*'"clean":true'*) echo "json findings: clean" ;;
+  '{"schema":"sysunc-tidy/4"'*'"clean":true'*) echo "json findings: clean" ;;
   *) echo "unexpected --json output: $json" >&2; exit 1 ;;
 esac
 
@@ -96,8 +96,12 @@ cargo test -q --release --offline -p sysunc-prob --lib \
   json::tests::string_parsing_is_linear_in_the_string_length -- --ignored
 
 echo "== engine-layer examples (release) =="
-cargo run -q --release --offline --example propagation_methods
-cargo run -q --release --offline --example strategy_workflow
+# `cargo test` builds every example but runs none, so each one runs
+# here and must exit 0.
+for example in quickstart orbital_models perception_chain safety_analysis \
+  propagation_methods strategy_workflow; do
+  cargo run -q --release --offline --example "$example"
+done
 
 echo "== serve smoke (ephemeral port, in-tree client) =="
 # Boots the propagation server, propagates through every engine,

@@ -4,7 +4,7 @@
 //! sysunc-tidy --json | tidy_trend [--in FILE] [--out FILE] [--fail-on-regression]
 //! ```
 //!
-//! Reads a `sysunc-tidy/3` findings document from stdin (or `--in
+//! Reads a `sysunc-tidy/4` findings document from stdin (or `--in
 //! FILE`), folds it into a `sysunc-bench-trend/1` record with per-rule
 //! allowed/baselined exception counts, and appends it as one JSON line
 //! to `--out` (default `BENCH_tidy_trend.json`) unless it equals the

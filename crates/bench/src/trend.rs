@@ -3,7 +3,7 @@
 //! Every `// tidy: allow(rule)` comment, every `#[expect]` of a
 //! workspace-table lint (listed by tidy under the name of the rule the
 //! lint replaced) and every baseline budget is acknowledged epistemic
-//! debt. A `sysunc-tidy/3` findings document folds into a per-rule
+//! debt. A `sysunc-tidy/4` findings document folds into a per-rule
 //! record (`sysunc-bench-trend/1`); the counts should only ratchet
 //! down, and [`suppression_regressions`] is the tripwire a rising line
 //! trips.
@@ -36,17 +36,17 @@ pub fn count_by_rule(report: &Json, key: &str) -> Result<Vec<(String, u64)>, Jso
 }
 
 /// Renders one `sysunc-bench-trend/1` record (a single JSON line) from
-/// a parsed `sysunc-tidy/3` findings document.
+/// a parsed `sysunc-tidy/4` findings document.
 ///
 /// # Errors
 ///
 /// Returns [`JsonError`] when the document does not have the
-/// `sysunc-tidy/3` shape.
+/// `sysunc-tidy/4` shape.
 pub fn trend_record(report: &Json) -> Result<String, JsonError> {
     let schema = report.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != "sysunc-tidy/3" {
+    if schema != "sysunc-tidy/4" {
         return Err(JsonError::decode(format!(
-            "expected a sysunc-tidy/3 document, got schema '{schema}'"
+            "expected a sysunc-tidy/4 document, got schema '{schema}'"
         )));
     }
     let files_scanned = report
@@ -176,17 +176,17 @@ mod tests {
     use sysunc::prob::json::parse;
 
     const SAMPLE: &str = r#"{
-        "schema": "sysunc-tidy/3",
+        "schema": "sysunc-tidy/4",
         "files_scanned": 12,
         "clean": true,
         "violations": [],
         "allowed": [
-            {"file": "a.rs", "line": 1, "rule": "panic", "resolution": "token", "message": "m"},
-            {"file": "b.rs", "line": 2, "rule": "panic", "resolution": "token", "message": "m"},
-            {"file": "c.rs", "line": 3, "rule": "seed-discipline", "resolution": "token", "message": "m"}
+            {"file": "a.rs", "line": 1, "rule": "panic", "message": "m"},
+            {"file": "b.rs", "line": 2, "rule": "panic", "message": "m"},
+            {"file": "c.rs", "line": 3, "rule": "seed-discipline", "message": "m"}
         ],
         "baselined": [
-            {"file": "d.rs", "line": 4, "rule": "doc", "resolution": "token", "message": "m"}
+            {"file": "d.rs", "line": 4, "rule": "doc", "message": "m"}
         ]
     }"#;
 
@@ -223,9 +223,9 @@ mod tests {
     fn foreign_documents_are_rejected() {
         let report = parse(r#"{"schema":"other/9"}"#).expect("parses");
         assert!(trend_record(&report).is_err());
-        let report = parse(r#"{"schema":"sysunc-tidy/3"}"#).expect("parses");
+        let report = parse(r#"{"schema":"sysunc-tidy/4"}"#).expect("parses");
         assert!(trend_record(&report).is_err(), "missing members must error");
-        let older = parse(&SAMPLE.replace("sysunc-tidy/3", "sysunc-tidy/2")).expect("parses");
+        let older = parse(&SAMPLE.replace("sysunc-tidy/4", "sysunc-tidy/3")).expect("parses");
         assert!(trend_record(&older).is_err(), "only the schema tidy emits is read");
     }
 

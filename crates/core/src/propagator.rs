@@ -755,7 +755,7 @@ impl Propagator for EvidentialEngine {
             engine: self.name(),
             means: self.means(),
             kind: request.dominant_kind(),
-            mean: out.mean_bounds(),
+            mean: out.try_mean_bounds()?,
             variance: Interval::degenerate(out.variance_pignistic()),
             quantiles,
             exceedance: request.threshold.map(|t| out.exceedance_bounds(t)),

@@ -130,15 +130,31 @@ impl DsStructure {
             .expect("lower CDF <= upper CDF")
     }
 
-    /// Bounds on the mean.
-    pub fn mean_bounds(&self) -> Interval {
+    /// Bounds on the mean: the mass-weighted sums of the focal lower
+    /// and upper ends.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvidenceError::InvalidInterval`] when a sum is not a
+    /// number: focal ends of both infinite signs, as an overflowing
+    /// propagation leaves, sum to NaN.
+    pub fn try_mean_bounds(&self) -> Result<Interval> {
         let lo: f64 = self.focal.iter().map(|(i, m)| i.lo() * m).sum();
         let hi: f64 = self.focal.iter().map(|(i, m)| i.hi() * m).sum();
+        Interval::new(lo, hi)
+    }
+
+    /// Bounds on the mean, for structures whose focal ends are finite.
+    ///
+    /// # Panics
+    ///
+    /// Where [`DsStructure::try_mean_bounds`] returns an error.
+    pub fn mean_bounds(&self) -> Interval {
         #[expect(
             clippy::expect_used,
-            reason = "each focal lo <= hi, so the mass-weighted sums stay ordered"
+            reason = "each focal lo <= hi, so finite mass-weighted sums stay ordered"
         )]
-        Interval::new(lo, hi).expect("lo <= hi by construction")
+        self.try_mean_bounds().expect("lo <= hi for finite focal ends")
     }
 
     /// Bounds on `P(X > threshold)` — the exceedance (failure) probability
@@ -429,6 +445,17 @@ mod tests {
         let e2 = ds.exceedance_bounds(0.5);
         assert!((e2.lo() - 0.5).abs() < 1e-12);
         assert!((e2.hi() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mean_bounds_of_focal_ends_of_both_infinite_signs_are_an_error() -> Result<()> {
+        let inf = f64::INFINITY;
+        let ds = DsStructure::new(vec![
+            (Interval::new(-inf, 0.0)?, 0.5),
+            (Interval::new(inf, inf)?, 0.5),
+        ])?;
+        assert!(matches!(ds.try_mean_bounds(), Err(EvidenceError::InvalidInterval(_))));
+        Ok(())
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! dead socket.
 
 use std::net::SocketAddr;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, PoisonError};
 
 /// A point-in-time view of one shard slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,10 +42,10 @@ pub struct ShardTable {
     slots: Vec<Mutex<Slot>>,
 }
 
-/// Locks a slot, recovering from poisoning: the table is a plain
-/// record, always internally consistent between mutations.
-fn lock(m: &Mutex<Slot>) -> MutexGuard<'_, Slot> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Runs `f` on a locked slot, recovering from poisoning: the table is
+/// a plain record, always internally consistent between mutations.
+fn with<R>(m: &Mutex<Slot>, f: impl FnOnce(&mut Slot) -> R) -> R {
+    f(&mut m.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 impl ShardTable {
@@ -68,11 +68,12 @@ impl ShardTable {
     /// generation. Returns the new generation.
     pub fn install(&self, slot: usize, addr: SocketAddr) -> u64 {
         let Some(m) = self.slots.get(slot) else { return 0 };
-        let mut s = lock(m);
-        s.addr = Some(addr);
-        s.healthy = true;
-        s.generation += 1;
-        s.generation
+        with(m, |s| {
+            s.addr = Some(addr);
+            s.healthy = true;
+            s.generation += 1;
+            s.generation
+        })
     }
 
     /// Marks a shard unhealthy (crashed or failing probes); the router
@@ -80,7 +81,7 @@ impl ShardTable {
     /// healthy again.
     pub fn mark_unhealthy(&self, slot: usize) {
         if let Some(m) = self.slots.get(slot) {
-            lock(m).healthy = false;
+            with(m, |s| s.healthy = false);
         }
     }
 
@@ -88,7 +89,7 @@ impl ShardTable {
     /// changing address or generation.
     pub fn mark_healthy(&self, slot: usize) {
         if let Some(m) = self.slots.get(slot) {
-            lock(m).healthy = true;
+            with(m, |s| s.healthy = true);
         }
     }
 
@@ -96,8 +97,7 @@ impl ShardTable {
     pub fn view(&self, slot: usize) -> SlotView {
         match self.slots.get(slot) {
             Some(m) => {
-                let s = lock(m);
-                SlotView { addr: s.addr, healthy: s.healthy, generation: s.generation }
+                with(m, |s| SlotView { addr: s.addr, healthy: s.healthy, generation: s.generation })
             }
             None => SlotView { addr: None, healthy: false, generation: 0 },
         }

@@ -29,7 +29,7 @@
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -188,7 +188,7 @@ impl Fleet {
             let child = ShardChild::spawn(&serve_bin, &child_args, config.handshake_timeout)?;
             table.install(slot, child.addr());
             if let Some(m) = children.get(slot) {
-                *lock_child(m) = Some(child);
+                with(m, |s| *s = Some(child));
             }
         }
 
@@ -229,10 +229,12 @@ impl Fleet {
     }
 }
 
-/// Locks a child slot, recovering from poisoning (a dead monitor must
-/// not wedge shutdown).
-fn lock_child(m: &Mutex<Option<ShardChild>>) -> std::sync::MutexGuard<'_, Option<ShardChild>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Runs `f` on a locked child slot, recovering from poisoning (a dead
+/// monitor must not wedge shutdown). Callers take the child out of the
+/// slot and kill or drain it after `with` returns, so no lock is held
+/// across a process wait.
+fn with<R>(m: &Mutex<Option<ShardChild>>, f: impl FnOnce(&mut Option<ShardChild>) -> R) -> R {
+    f(&mut m.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 /// A running fleet: front address, metrics, crash-injection and
@@ -274,13 +276,13 @@ impl FleetHandle {
     }
 
     /// Crash injection for fleet-semantics tests: SIGKILLs the shard's
-    /// process. The monitor notices, demotes the shard, and respawns
-    /// it with backoff. Returns `false` when the slot holds no child.
+    /// process. The monitor finds the slot empty, demotes the shard,
+    /// and respawns it with backoff. Returns `false` when the slot
+    /// holds no child.
     pub fn kill_shard(&self, slot: usize) -> bool {
         let Some(m) = self.children.get(slot) else { return false };
-        let mut guard = lock_child(m);
-        match guard.as_mut() {
-            Some(child) => {
+        match with(m, Option::take) {
+            Some(mut child) => {
                 child.kill();
                 true
             }
@@ -312,7 +314,7 @@ impl FleetHandle {
         }
         // 3. Drain the children (stdin close), kill stragglers.
         for m in self.children.iter() {
-            if let Some(child) = lock_child(m).take() {
+            if let Some(child) = with(m, Option::take) {
                 child.drain(DRAIN_TIMEOUT);
             }
         }
@@ -374,7 +376,7 @@ fn respawn(
             Ok(child) => {
                 shared.table.install(slot, child.addr());
                 if let Some(m) = children.get(slot) {
-                    *lock_child(m) = Some(child);
+                    with(m, |s| *s = Some(child));
                 }
                 shared.metrics.restarted(slot);
                 return true;
@@ -397,14 +399,14 @@ fn monitor_loop(
     let mut failed_probes = 0u32;
     while sleep_unless_shutdown(shared, shared.config.probe_interval) {
         let alive = match children.get(slot) {
-            Some(m) => lock_child(m).as_mut().map(ShardChild::is_alive).unwrap_or(false),
+            Some(m) => with(m, |s| s.as_mut().map(ShardChild::is_alive).unwrap_or(false)),
             None => return,
         };
         if !alive {
             // Crashed (or killed): demote, reap, respawn with backoff.
             shared.table.mark_unhealthy(slot);
             if let Some(m) = children.get(slot) {
-                lock_child(m).take();
+                drop(with(m, Option::take));
             }
             failed_probes = 0;
             if !respawn(slot, shared, children, serve_bin) {
@@ -424,7 +426,7 @@ fn monitor_loop(
                 // Alive but wedged: recycle the process.
                 shared.table.mark_unhealthy(slot);
                 if let Some(m) = children.get(slot) {
-                    if let Some(mut child) = lock_child(m).take() {
+                    if let Some(mut child) = with(m, Option::take) {
                         child.kill();
                     }
                 }

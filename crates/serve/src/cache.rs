@@ -24,7 +24,7 @@
 //! dropped on lookup, so expiry needs no sweeper thread.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One cached response body. `Arc` so a hit is a pointer clone, not a
@@ -52,11 +52,11 @@ impl Shard {
     }
 }
 
-/// Locks a shard, recovering from a poisoned lock: cache state is
-/// always internally consistent between mutations, so a panicking
-/// sibling thread must not disable caching for everyone else.
-fn lock(m: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Runs `f` on a locked shard, recovering from a poisoned lock: cache
+/// state is always internally consistent between mutations, so a
+/// panicking sibling thread must not disable caching for everyone else.
+fn with<R>(m: &Mutex<Shard>, f: impl FnOnce(&mut Shard) -> R) -> R {
+    f(&mut m.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 /// A sharded LRU response cache keyed on canonical request bytes.
@@ -111,7 +111,7 @@ impl ResponseCache {
 
     /// Entries currently cached, across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).entries.len()).sum()
+        self.shards.iter().map(|s| with(s, |shard| shard.entries.len())).sum()
     }
 
     /// Whether the cache currently holds no entries.
@@ -137,17 +137,18 @@ impl ResponseCache {
         if self.shard_capacity == 0 {
             return None;
         }
-        let mut shard = lock(self.shard(hash)?);
-        let tick = shard.tick();
-        if let (Some(ttl), Some(entry)) = (self.ttl, shard.entries.get(key)) {
-            if entry.created.elapsed() > ttl {
-                shard.entries.remove(key);
-                return None;
+        with(self.shard(hash)?, |shard| {
+            let tick = shard.tick();
+            if let (Some(ttl), Some(entry)) = (self.ttl, shard.entries.get(key)) {
+                if entry.created.elapsed() > ttl {
+                    shard.entries.remove(key);
+                    return None;
+                }
             }
-        }
-        let entry = shard.entries.get_mut(key)?;
-        entry.last_used = tick;
-        Some(Arc::clone(&entry.body))
+            let entry = shard.entries.get_mut(key)?;
+            entry.last_used = tick;
+            Some(Arc::clone(&entry.body))
+        })
     }
 
     /// Caches `body` under `key`, evicting the least recently used
@@ -161,22 +162,23 @@ impl ResponseCache {
         let Some(shard) = self.shard(hash) else {
             return 0;
         };
-        let mut shard = lock(shard);
-        let tick = shard.tick();
-        let mut evicted = 0;
-        if !shard.entries.contains_key(&key) && shard.entries.len() >= self.shard_capacity {
-            let oldest = shard
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            if let Some(oldest) = oldest {
-                shard.entries.remove(&oldest);
-                evicted = 1;
+        with(shard, |shard| {
+            let tick = shard.tick();
+            let mut evicted = 0;
+            if !shard.entries.contains_key(&key) && shard.entries.len() >= self.shard_capacity {
+                let oldest = shard
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(k, _)| k.clone());
+                if let Some(oldest) = oldest {
+                    shard.entries.remove(&oldest);
+                    evicted = 1;
+                }
             }
-        }
-        shard.entries.insert(key, Entry { body, last_used: tick, created: Instant::now() });
-        evicted
+            shard.entries.insert(key, Entry { body, last_used: tick, created: Instant::now() });
+            evicted
+        })
     }
 }
 
@@ -279,7 +281,8 @@ mod tests {
             .map(|k| cache.insert(sysunc::fnv1a64(k.as_bytes()), k, body("x")))
             .sum();
         assert_eq!(evicted, 0, "512 keys fit a 1,024-entry cache");
-        let occupied = cache.shards.iter().filter(|s| !lock(s).entries.is_empty()).count();
+        let occupied =
+            cache.shards.iter().filter(|s| with(s, |shard| !shard.entries.is_empty())).count();
         assert_eq!(occupied, 8);
         assert_eq!(cache.len(), 512);
     }

@@ -13,9 +13,10 @@
 //! Permits are RAII: dropping one, on a normal exit or while a panic
 //! unwinds, frees its slot, so no path can leak capacity.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Accept-side backpressure: a hard cap on concurrently served
 /// connections.
@@ -110,11 +111,32 @@ pub struct AdmissionGate {
     wait_slots: usize,
 }
 
-/// Locks the gate's counts, recovering the guard from a poisoned lock:
-/// the counts are consistent between statements, and a panicking
-/// holder must not stop admission for everyone else.
-fn lock(m: &Mutex<Held>) -> MutexGuard<'_, Held> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Runs `f` on the gate's counts under their lock until `f` breaks
+/// with an answer. When `f` continues with a duration, the lock is
+/// released until `freed` is signalled or that duration has passed,
+/// and `f` runs again under it: the condition-variable wait a queued
+/// request needs lives here, so no guard ever reaches a caller.
+///
+/// A poisoned lock is recovered: the counts are consistent between
+/// statements, and a panicking holder must not stop admission for
+/// everyone else.
+fn with<R>(
+    m: &Mutex<Held>,
+    freed: &Condvar,
+    mut f: impl FnMut(&mut Held) -> ControlFlow<R, Duration>,
+) -> R {
+    let mut held = m.lock().unwrap_or_else(PoisonError::into_inner);
+    loop {
+        match f(&mut held) {
+            ControlFlow::Break(answer) => return answer,
+            ControlFlow::Continue(left) => {
+                held = match freed.wait_timeout(held, left) {
+                    Ok((guard, _)) => guard,
+                    Err(poisoned) => poisoned.into_inner().0,
+                };
+            }
+        }
+    }
 }
 
 impl AdmissionGate {
@@ -141,45 +163,37 @@ impl AdmissionGate {
     /// taken; [`Refusal::Deadline`] when `deadline` passes before a
     /// run permit frees up.
     pub fn admit(&self, deadline: Instant) -> Result<RunPermit<'_>, Refusal> {
-        let mut held = lock(&self.held);
-        if held.running < self.run_slots {
-            held.running += 1;
-            return Ok(RunPermit { gate: self });
-        }
-        if held.waiting >= self.wait_slots {
-            return Err(Refusal::Full);
-        }
-        held.waiting += 1;
-        let admitted = loop {
+        let mut queued = false;
+        with(&self.held, &self.freed, |held| {
             if held.running < self.run_slots {
                 held.running += 1;
-                break true;
+                held.waiting -= usize::from(queued);
+                return ControlFlow::Break(Ok(RunPermit { gate: self }));
+            }
+            if !queued {
+                if held.waiting >= self.wait_slots {
+                    return ControlFlow::Break(Err(Refusal::Full));
+                }
+                held.waiting += 1;
+                queued = true;
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                break false;
+                held.waiting -= 1;
+                return ControlFlow::Break(Err(Refusal::Deadline));
             }
-            held = match self.freed.wait_timeout(held, left) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        };
-        held.waiting -= 1;
-        if admitted {
-            Ok(RunPermit { gate: self })
-        } else {
-            Err(Refusal::Deadline)
-        }
+            ControlFlow::Continue(left)
+        })
     }
 
     /// Requests waiting for a run permit.
     pub fn waiting(&self) -> usize {
-        lock(&self.held).waiting
+        with(&self.held, &self.freed, |held| ControlFlow::Break(held.waiting))
     }
 
     /// Run permits currently held.
     pub fn running(&self) -> usize {
-        lock(&self.held).running
+        with(&self.held, &self.freed, |held| ControlFlow::Break(held.running))
     }
 }
 
@@ -192,7 +206,10 @@ pub struct RunPermit<'g> {
 
 impl Drop for RunPermit<'_> {
     fn drop(&mut self) {
-        lock(&self.gate.held).running -= 1;
+        with(&self.gate.held, &self.gate.freed, |held| {
+            held.running -= 1;
+            ControlFlow::Break(())
+        });
         self.gate.freed.notify_one();
     }
 }

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use sysunc::prob::json::{self, writer::JsonWriter, FromJson, Json};
+use sysunc::sampling::SobolDesign;
 use sysunc::{
     run_batch, BatchJob, CanonicalRequest, Error as SysuncError, EvidentialEngine, Model,
     ModelRegistry, PropagationReport, Propagator, SpectralEngine, UncertainInput, WireRequest,
@@ -362,6 +363,18 @@ fn canonicalize_wire(
     registry
         .check_inputs(&wire.model, wire.inputs.len())
         .map_err(|e| Box::new(error_response(400, &format!("{context}{e}"))))?;
+    // Sobol's direction numbers stop at `MAX_DIM`: a wider job would
+    // fail in the engine, after admission, as a server error.
+    if wire.engine == "sobol-qmc" && wire.inputs.len() > SobolDesign::MAX_DIM {
+        return Err(Box::new(error_response(
+            400,
+            &format!(
+                "{context}invalid input: engine 'sobol-qmc' takes at most {} inputs, got {}",
+                SobolDesign::MAX_DIM,
+                wire.inputs.len()
+            ),
+        )));
+    }
     // Nothing has been allocated for the run yet: an over-ceiling job
     // is refused before admission, so it can neither exhaust memory
     // nor hold a run permit past its deadline.
@@ -390,8 +403,9 @@ fn canonicalize_wire(
 ///
 /// Returns the ready-to-send error response (status 400) when the
 /// body is not a valid [`WireRequest`], names an unknown engine or
-/// model, carries an input count the model does not read, or costs
-/// more than [`COST_CEILING`].
+/// model, carries an input count the model (or `sobol-qmc`, past
+/// `SobolDesign::MAX_DIM`) does not read, or costs more than
+/// [`COST_CEILING`].
 pub fn decode_propagate_body(
     registry: &ModelRegistry,
     body: &[u8],

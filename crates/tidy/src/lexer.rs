@@ -67,10 +67,6 @@ pub struct Token {
     pub line: usize,
     /// 1-based byte column of the token's first byte.
     pub col: usize,
-    /// 1-based line of the token's last byte — equal to `line` except
-    /// for multi-line tokens (block comments, raw strings), whose full
-    /// extent the resolution layer needs for exact item spans.
-    pub end_line: usize,
 }
 
 impl Token {
@@ -118,7 +114,7 @@ impl<'a> Lexer<'a> {
             let (line, col) = (self.line, self.pos - self.line_start + 1);
             let kind = self.token_kind(b);
             debug_assert!(self.pos > start, "lexer must always make progress");
-            out.push(Token { kind, start, end: self.pos, line, col, end_line: self.line });
+            out.push(Token { kind, start, end: self.pos, line, col });
         }
         out
     }
@@ -611,17 +607,6 @@ mod tests {
         // whatever follows.
         let toks = kinds("1e3f64 + x");
         assert_eq!(toks.len(), 3);
-    }
-
-    #[test]
-    fn end_line_tracks_multiline_tokens() {
-        let src = "a /* x\ny */ b r#\"p\nq\nr\"# c";
-        let toks = lex(src);
-        assert_eq!((toks[0].line, toks[0].end_line), (1, 1), "single-line ident");
-        assert_eq!((toks[1].line, toks[1].end_line), (1, 2), "two-line block comment");
-        assert_eq!((toks[2].line, toks[2].end_line), (2, 2));
-        assert_eq!((toks[3].line, toks[3].end_line), (2, 4), "three-line raw string");
-        assert_eq!((toks[4].line, toks[4].end_line), (4, 4));
     }
 
     #[test]

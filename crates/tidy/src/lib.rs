@@ -3,27 +3,24 @@
 //! A dependency-free lint driver that walks the workspace and enforces
 //! the coding invariants no general-purpose tool knows about: the
 //! zero-dependency policy, seed discipline, probability contracts, the
-//! error-type layering, lock liveness and lock ordering, and the
-//! `sysunc::` facade. Generic lint duty — panicking calls, float
-//! equality, missing docs, unreachable `pub` items, unchecked indexing
-//! in the serving crates — belongs to rustc and clippy through the root
-//! `[workspace.lints]` table, which every member inherits (the
-//! `manifest` rule checks the opt-in). The compiler answers those
-//! questions from its own type and name resolution, so tidy does not
-//! re-derive them.
+//! error-type layering, lock scopes, and the `sysunc::` facade. Generic
+//! lint duty — panicking calls, float equality, missing docs,
+//! unreachable `pub` items, unchecked indexing in the serving crates —
+//! belongs to rustc and clippy through the root `[workspace.lints]`
+//! table, which every member inherits (the `manifest` rule checks the
+//! opt-in). The compiler answers those questions from its own type and
+//! name resolution, so tidy does not re-derive them.
 //!
 //! Rules operate on a real token stream from the in-tree Rust
 //! [`lexer`] (comments, string literals and numeric literals are tokens,
 //! not text), so a `.lock()` quoted in a string or a seed named in a
-//! doc comment cannot fire. The [`resolve`] pass indexes every
-//! function's signature and body extent, the [`cfg`] layer builds
-//! per-function control-flow graphs and runs gen/kill dataflow over
-//! them, and the [`calls`] layer resolves call edges (free fns,
-//! `Type::` paths, method calls through declared receiver types) so
-//! workspace rules can propagate CFG facts across functions.
-//! `sysunc-tidy --dump-cfg` renders the block graphs. Every finding
-//! records which layer produced it in its `resolution` field (`token`
-//! or `cfg`) — the schema is `sysunc-tidy/3`.
+//! doc comment cannot fire. The cross-file rules get the [`symbols`]
+//! table: each crate's library files by module path. Lock safety is
+//! designed in rather than inferred: every mutex is reached through a
+//! module-private `with(&Mutex<T>, impl FnOnce(&mut T) -> R) -> R`
+//! helper, so no guard can outlive its closure, and `lock-hygiene`
+//! checks the little that construction leaves open with a per-file
+//! token scan.
 //!
 //! In the paper's vocabulary this is an uncertainty-**prevention**
 //! means applied to our own toolchain: the rules remove whole classes
@@ -40,10 +37,9 @@
 //! | `error-impl`            | every `error.rs` enum implements `Display` and `Error`             |
 //! | `suite-error`           | integration-suite code uses `sysunc::Error`, not per-crate enums   |
 //! | `seed-discipline`       | library code never builds an RNG from a hardcoded seed             |
-//! | `lock-hygiene`          | no guard *live on any CFG path* across a known-blocking call (`sleep`, socket I/O, `recv`, `join`) — guards dropped, moved, or returned before the call don't count |
+//! | `lock-hygiene`          | locks are taken only inside a `with` helper, and the closure passed to `with(` makes no blocking call and takes no second lock |
 //! | `facade`                | every substrate crate is re-exported from the `sysunc::` facade    |
 //! | `seed-discipline-drift` | the seed rule's constructor lists cover what `sysunc_prob::rng` and `propcheck` define |
-//! | `lock-order-cycle`      | per-function lock-acquisition orderings, propagated through resolved call edges, form no cycle within a crate |
 //! | `unused-allow`          | every `tidy: allow(...)` comment suppresses a live finding, and no toolchain lint of the table is silenced module-wide |
 //!
 //! ## Retired rules and the suppression ledger
@@ -77,12 +73,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod calls;
-pub mod cfg;
 pub mod cursor;
 pub mod lexer;
 pub mod report;
-pub mod resolve;
 pub mod rules;
 pub mod symbols;
 pub mod walk;
@@ -214,10 +207,6 @@ pub struct Violation {
     pub rule: &'static str,
     /// Human-readable description of the specific violation.
     pub message: String,
-    /// Which analysis layer produced the finding: `"token"` for plain
-    /// token-stream scans, `"cfg"` for findings from control-flow-graph
-    /// dataflow (lock liveness, lock-order cycles over call edges).
-    pub resolution: &'static str,
 }
 
 impl fmt::Display for Violation {
@@ -639,7 +628,6 @@ mod tests {
                         file: file.path.clone(),
                         line: no,
                         rule: self.name(),
-                        resolution: "token",
                         message: "fixture".into(),
                     });
                 }
@@ -759,8 +747,8 @@ fn shipped() {}
                 SourceFile::new(
                     format!("crates/x/src/f{i}.rs"),
                     "pub fn f(m: &Mutex<u8>) -> u8 {\n\
-                     \x20   let g = lock(m);\n\
-                     \x20   std::thread::sleep(D);\n\
+                     \x20   let g = m.lock();\n\
+                     \x20   with(m, |_| std::thread::sleep(D));\n\
                      \x20   let _r = Rng::seed_from_u64(7);\n\
                      \x20   *g\n\
                      }\n\
@@ -781,12 +769,11 @@ fn shipped() {}
             file: PathBuf::from("crates/x/src/lib.rs"),
             line: 7,
             rule: "lock-hygiene",
-            resolution: "cfg",
-            message: "guard `g` is still live across `sleep`".into(),
+            message: "`sleep` blocks under the lock".into(),
         };
         assert_eq!(
             v.to_string(),
-            "crates/x/src/lib.rs:7: lock-hygiene: guard `g` is still live across `sleep`"
+            "crates/x/src/lib.rs:7: lock-hygiene: `sleep` blocks under the lock"
         );
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p sysunc-tidy -- [OPTIONS] [workspace-root]
 //!
-//!   --json               emit the sysunc-tidy/3 JSON findings object
+//!   --json               emit the sysunc-tidy/4 JSON findings object
 //!   --serial             check files serially (default: parallel)
 //!   --baseline <path>    apply a ratchet file (default: <root>/tidy.baseline
 //!                        when it exists)
@@ -13,9 +13,6 @@
 //!   --explain [rule]     print what a rule enforces and why, then exit;
 //!                        with no rule, list every rule one per line
 //!                        (unknown rules exit 2)
-//!   --dump-cfg           print every function's control-flow graph
-//!                        (basic blocks, token ranges, successor edges),
-//!                        then exit
 //! ```
 //!
 //! Prints one `file:line: rule: message` per violation and exits
@@ -46,7 +43,6 @@ struct Options {
     baseline: Option<PathBuf>,
     write_baseline: bool,
     explain: Option<ExplainMode>,
-    dump_cfg: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -57,7 +53,6 @@ fn parse_args() -> Result<Options, String> {
         baseline: None,
         write_baseline: false,
         explain: None,
-        dump_cfg: false,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -85,7 +80,6 @@ fn parse_args() -> Result<Options, String> {
                     _ => ExplainMode::All,
                 });
             }
-            "--dump-cfg" => opts.dump_cfg = true,
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag `{flag}`"));
             }
@@ -94,57 +88,6 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(opts)
-}
-
-/// Renders every function's control-flow graph behind `--dump-cfg`:
-/// per file, per function, each basic block with the source-line span
-/// of its token ranges and its successor edges. Bodiless functions
-/// (trait methods, extern decls) are skipped.
-fn dump_cfg(files: &[sysunc_tidy::SourceFile]) -> String {
-    let mut out = String::new();
-    for file in files {
-        let facts = sysunc_tidy::resolve::parse_facts(file);
-        let with_bodies: Vec<_> = facts.fns.iter().filter(|f| f.body.is_some()).collect();
-        if with_bodies.is_empty() {
-            continue;
-        }
-        out.push_str(&format!("{}\n", file.path.display()));
-        for f in with_bodies {
-            let Some(body) = f.body else { continue };
-            let graph = sysunc_tidy::cfg::build(file, body);
-            let exit = graph.exit.map(|e| e.to_string()).unwrap_or_else(|| "-".into());
-            out.push_str(&format!(
-                "  fn {} (line {}): {} block(s), exit {exit}\n",
-                f.name,
-                f.line,
-                graph.blocks.len()
-            ));
-            for (bi, block) in graph.blocks.iter().enumerate() {
-                let tokens = file.tokens();
-                let lines: Vec<String> = block
-                    .ranges
-                    .iter()
-                    .filter(|(s, e)| e > s)
-                    .map(|&(s, e)| {
-                        let first = tokens[s].line;
-                        let last = tokens[e - 1].line;
-                        if first == last {
-                            format!("L{first}")
-                        } else {
-                            format!("L{first}-{last}")
-                        }
-                    })
-                    .collect();
-                let span = if lines.is_empty() { "(empty)".into() } else { lines.join(",") };
-                let succs: Vec<String> =
-                    block.succs.iter().map(|s| s.to_string()).collect();
-                let arrow =
-                    if succs.is_empty() { String::new() } else { format!(" -> {}", succs.join(",")) };
-                out.push_str(&format!("    b{bi} {span}{arrow}\n"));
-            }
-        }
-    }
-    out
 }
 
 fn main() -> ExitCode {
@@ -209,11 +152,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if opts.dump_cfg {
-        print!("{}", dump_cfg(&files));
-        return ExitCode::SUCCESS;
-    }
 
     let mut report = if opts.serial {
         sysunc_tidy::check_files_serial(&files)

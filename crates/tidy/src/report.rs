@@ -2,29 +2,25 @@
 //!
 //! ## JSON findings schema (`sysunc-tidy --json`)
 //!
-//! The gate emits one JSON object, schema id `sysunc-tidy/3`:
+//! The gate emits one JSON object, schema id `sysunc-tidy/4`:
 //!
 //! ```json
 //! {
-//!   "schema": "sysunc-tidy/3",
+//!   "schema": "sysunc-tidy/4",
 //!   "files_scanned": 139,
 //!   "clean": true,
 //!   "violations": [
 //!     {"file": "crates/x/src/lib.rs", "line": 7, "rule": "seed-discipline",
-//!      "resolution": "token", "message": "…"}
+//!      "message": "…"}
 //!   ],
 //!   "allowed":   [ …same shape… ],
 //!   "baselined": [ …same shape… ]
 //! }
 //! ```
 //!
-//! `resolution` records which analysis layer produced each finding —
-//! `"token"` (plain token-stream scan) or `"cfg"` (control-flow-graph
-//! dataflow: lock liveness, lock-order cycles) — so downstream
-//! consumers can weigh provenance. Schema `/1` lacked the field; `/2`
-//! added it; `/3` added the `cfg` value. The `module-graph` and
-//! `type-flow` values left with the rules that produced them (their
-//! duty moved to rustc and clippy); the shape is unchanged.
+//! Schemas `/2` and `/3` gave each finding a `resolution` member naming
+//! the analysis layer that produced it; every rule is a token scan, so
+//! `/4` has no such member.
 //!
 //! `violations` are the findings that fail the gate; `allowed` were
 //! acknowledged with `tidy: allow` comments, or are `#[expect]`s of a
@@ -78,12 +74,10 @@ fn escape_json(s: &str) -> String {
 
 fn violation_json(v: &Violation) -> String {
     format!(
-        "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"resolution\":\"{}\",\
-         \"message\":\"{}\"}}",
+        "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
         escape_json(&v.file.display().to_string()),
         v.line,
         escape_json(v.rule),
-        escape_json(v.resolution),
         escape_json(&v.message)
     )
 }
@@ -93,10 +87,10 @@ fn violations_json(vs: &[Violation]) -> String {
     format!("[{}]", items.join(","))
 }
 
-/// Renders a [`Report`] in the `sysunc-tidy/3` JSON findings format.
+/// Renders a [`Report`] in the `sysunc-tidy/4` JSON findings format.
 pub fn to_json(report: &Report) -> String {
     format!(
-        "{{\"schema\":\"sysunc-tidy/3\",\"files_scanned\":{},\"clean\":{},\
+        "{{\"schema\":\"sysunc-tidy/4\",\"files_scanned\":{},\"clean\":{},\
          \"violations\":{},\"allowed\":{},\"baselined\":{}}}",
         report.files_scanned,
         report.clean(),
@@ -256,7 +250,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn v(file: &str, line: usize, rule: &'static str, msg: &str) -> Violation {
-        Violation { file: PathBuf::from(file), line, rule, resolution: "token", message: msg.into() }
+        Violation { file: PathBuf::from(file), line, rule, message: msg.into() }
     }
 
     #[test]
@@ -268,8 +262,8 @@ mod tests {
             files_scanned: 2,
         };
         let json = to_json(&report);
-        assert!(json.starts_with("{\"schema\":\"sysunc-tidy/3\""));
-        assert!(json.contains("\"resolution\":\"token\""));
+        assert!(json.starts_with("{\"schema\":\"sysunc-tidy/4\""));
+        assert!(json.contains("\"rule\":\"lock-hygiene\",\"message\":"));
         assert!(json.contains("\"files_scanned\":2"));
         assert!(json.contains("\"clean\":false"));
         assert!(json.contains("\\\"quoted\\\""));

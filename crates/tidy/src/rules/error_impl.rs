@@ -77,7 +77,6 @@ impl Lint for ErrorImpl {
                     file: file.path.clone(),
                     line,
                     rule: self.name(),
-                    resolution: "token",
                     message: format!("error enum `{name}` does not implement `Display`"),
                 });
             }
@@ -86,7 +85,6 @@ impl Lint for ErrorImpl {
                     file: file.path.clone(),
                     line,
                     rule: self.name(),
-                    resolution: "token",
                     message: format!("error enum `{name}` does not implement `std::error::Error`"),
                 });
             }

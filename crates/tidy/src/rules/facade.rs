@@ -81,7 +81,6 @@ impl WorkspaceLint for FacadeCoverage {
                 file: ws.files[facade.root_file()].path.clone(),
                 line: 1,
                 rule: self.name(),
-                resolution: "token",
                 message: format!(
                     "substrate crate `{}` is not re-exported from the `sysunc` \
                      facade; add `pub use {package} as {};`",

@@ -106,7 +106,6 @@ impl Lint for ManifestHygiene {
                         file: file.path.clone(),
                         line: no,
                         rule: self.name(),
-                        resolution: "token",
                         message: format!(
                             "dependency `{}` is not a path dependency \
                              (external crates are forbidden; vendor the code in-tree)",
@@ -157,7 +156,6 @@ impl ManifestHygiene {
             file: file.path.clone(),
             line,
             rule: self.name(),
-            resolution: "token",
             message: "package does not inherit the workspace lint table; add \
                       `[lints]` with `workspace = true`"
                 .into(),
@@ -169,7 +167,6 @@ impl ManifestHygiene {
             file: file.path.clone(),
             line,
             rule: self.name(),
-            resolution: "token",
             message: format!(
                 "dependency table `{name}` has no `path` key \
                  (external crates are forbidden; vendor the code in-tree)"

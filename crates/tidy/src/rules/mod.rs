@@ -5,7 +5,6 @@
 mod error_impl;
 mod facade;
 mod lock_hygiene;
-mod lock_order;
 mod manifest;
 mod prob_contract;
 mod seed_discipline;
@@ -15,7 +14,6 @@ mod unused_allow;
 pub use error_impl::ErrorImpl;
 pub use facade::FacadeCoverage;
 pub use lock_hygiene::LockHygiene;
-pub use lock_order::LockOrderCycle;
 pub use manifest::ManifestHygiene;
 pub use prob_contract::ProbContract;
 pub use seed_discipline::{SeedDiscipline, SeedDisciplineDrift, ENTROPY, PROPCHECK_SEEDED, SEEDED};
@@ -41,9 +39,8 @@ pub fn all() -> Vec<Box<dyn Lint>> {
 }
 
 /// The cross-file rules, run once over the whole workspace.
-/// `lock-order-cycle` propagates CFG facts through resolved call edges.
 pub fn workspace() -> Vec<Box<dyn WorkspaceLint>> {
-    vec![Box::new(FacadeCoverage), Box::new(SeedDisciplineDrift), Box::new(LockOrderCycle)]
+    vec![Box::new(FacadeCoverage), Box::new(SeedDisciplineDrift)]
 }
 
 /// Every rule name the gate knows, in report order. `allow(...)`
@@ -152,7 +149,6 @@ mod tests {
                 "lock-hygiene",
                 "facade",
                 "seed-discipline-drift",
-                "lock-order-cycle",
                 "unused-allow",
             ]
         );

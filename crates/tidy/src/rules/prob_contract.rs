@@ -122,7 +122,6 @@ impl Lint for ProbContract {
                 file: file.path.clone(),
                 line: t.line,
                 rule: self.name(),
-                resolution: "token",
                 message: format!(
                     "probability-valued `pub fn {name}` states no range contract; \
                      add a `debug_assert!` range check or a `/// Range:` doc line"

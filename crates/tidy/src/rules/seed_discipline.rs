@@ -92,7 +92,6 @@ impl Lint for SeedDiscipline {
                     file: file.path.clone(),
                     line: t.line,
                     rule: self.name(),
-                    resolution: "token",
                     message: format!(
                         "`{text}` draws ambient entropy in library code; runs \
                          become unreplayable — take a seed parameter instead"
@@ -113,7 +112,6 @@ impl Lint for SeedDiscipline {
                     file: file.path.clone(),
                     line: t.line,
                     rule: self.name(),
-                    resolution: "token",
                     message: format!(
                         "`{text}` called with a hardcoded seed in library code; \
                          take the seed as a parameter so callers control \
@@ -195,7 +193,6 @@ impl WorkspaceLint for SeedDisciplineDrift {
                 file: ws.files[prob.root_file()].path.clone(),
                 line: 1,
                 rule: self.name(),
-                resolution: "token",
                 message: format!(
                     "crate `{RNG_CRATE}` no longer has a `{RNG_MODULE}` module; the \
                      seed-discipline SEEDED/ENTROPY lists describe constructors \
@@ -230,7 +227,6 @@ impl WorkspaceLint for SeedDisciplineDrift {
                 file: file.path.clone(),
                 line: name_tok.line,
                 rule: self.name(),
-                resolution: "token",
                 message: format!(
                     "rng constructor `{name}` is covered by neither the SEEDED nor \
                      the ENTROPY list of the seed-discipline rule; hardcoded seeds \
@@ -248,7 +244,6 @@ impl WorkspaceLint for SeedDisciplineDrift {
                 file: ws.files[prob.root_file()].path.clone(),
                 line: 1,
                 rule: self.name(),
-                resolution: "token",
                 message: format!(
                     "crate `{RNG_CRATE}` no longer has a `{PROPCHECK_MODULE}` module; \
                      the seed-discipline PROPCHECK_SEEDED list describes entry \
@@ -280,7 +275,6 @@ impl WorkspaceLint for SeedDisciplineDrift {
                 file: file.path.clone(),
                 line: name_tok.line,
                 rule: self.name(),
-                resolution: "token",
                 message: format!(
                     "propcheck defines seed-named `{name}` which the \
                      PROPCHECK_SEEDED list of the seed-discipline rule does not \

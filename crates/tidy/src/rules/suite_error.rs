@@ -63,7 +63,6 @@ impl Lint for SuiteError {
                     file: file.path.clone(),
                     line: t.line,
                     rule: self.name(),
-                    resolution: "token",
                     message: format!(
                         "suite code names per-crate error `{text}`; \
                          use the unified `sysunc::Error` instead"

@@ -72,7 +72,6 @@ pub fn module_wide_suppressions(file: &SourceFile, out: &mut Vec<Violation>) {
                 file: file.path.clone(),
                 line: attr.line,
                 rule: UNUSED_ALLOW_NAME,
-                resolution: "token",
                 message: format!(
                     "`{}({lint})` covers a whole module; acknowledge each site with \
                      `#[expect({lint}, reason = \"…\")]` on the smallest enclosing \
@@ -99,7 +98,6 @@ pub fn expectation_ledger(file: &SourceFile, out: &mut Vec<Violation>) {
                 file: file.path.clone(),
                 line: attr.line,
                 rule,
-                resolution: "token",
                 message: format!(
                     "`#[expect({lint})]`: {}",
                     attr.reason.as_deref().unwrap_or("(no reason given)")
@@ -142,7 +140,6 @@ pub fn unused_allow_pass(files: &[SourceFile], used: &[Vec<bool>]) -> Vec<Violat
                     file: file.path.clone(),
                     line: marker.line,
                     rule: UNUSED_ALLOW_NAME,
-                    resolution: "token",
                     message: format!(
                         "allow names unknown rule `{}`; known rules: {}",
                         marker.rule,
@@ -154,7 +151,6 @@ pub fn unused_allow_pass(files: &[SourceFile], used: &[Vec<bool>]) -> Vec<Violat
                     file: file.path.clone(),
                     line: marker.line,
                     rule: UNUSED_ALLOW_NAME,
-                    resolution: "token",
                     message: format!(
                         "`tidy: allow({})` suppresses nothing; remove the stale \
                          marker (suppression rot)",

@@ -1,18 +1,15 @@
 //! Workspace-level view for the cross-file rules: every crate's library
-//! files laid out by module path, and a per-file function/struct
-//! signature index.
+//! files laid out by module path.
 //!
-//! Per-file rules can only see one file; this pass is what lets the
-//! gate reason *across* files — the call graph behind
-//! `lock-order-cycle`, the rng module the `seed-discipline-drift`
-//! guard reads, the facade the `facade` rule inspects. Module paths
-//! come from the file layout (`src/a/b.rs` is `a::b`), which is what
-//! cargo's own module lookup follows for `mod` declarations.
+//! Per-file rules can only see one file; this table is what lets the
+//! gate reason *across* files — the rng and propcheck modules the
+//! `seed-discipline-drift` guard reads, the facade the `facade` rule
+//! inspects. Module paths come from the file layout (`src/a/b.rs` is
+//! `a::b`), which is what cargo's own module lookup follows for `mod`
+//! declarations.
 
-use std::collections::HashMap;
 use std::path::Component;
 
-use crate::resolve::{self, FileFacts};
 use crate::{FileKind, SourceFile};
 
 /// The library files of one crate under `crates/`.
@@ -45,23 +42,16 @@ pub struct Workspace<'a> {
     pub files: &'a [SourceFile],
     /// Library files of every crate under `crates/`.
     pub crates: Vec<CrateFiles>,
-    /// Function/struct signature index per Rust library file, keyed by
-    /// index into [`Workspace::files`] (covers files outside `crates/`
-    /// too, e.g. the facade's `src/lib.rs`).
-    pub facts: HashMap<usize, FileFacts>,
 }
 
 impl<'a> Workspace<'a> {
-    /// Groups the `crates/*/src` library files by crate and indexes the
-    /// signatures of every Rust library file.
+    /// Groups the `crates/*/src` library files by crate.
     pub fn build(files: &'a [SourceFile]) -> Self {
-        let mut facts = HashMap::new();
         let mut crates: Vec<CrateFiles> = Vec::new();
         for (file_idx, file) in files.iter().enumerate() {
             if file.kind != FileKind::RustLibrary {
                 continue;
             }
-            facts.insert(file_idx, resolve::parse_facts(file));
             let Some((crate_name, module_path)) = crate_and_module(file) else { continue };
             match crates.iter_mut().find(|c| c.name == crate_name) {
                 Some(c) => c.modules.push((file_idx, module_path)),
@@ -69,7 +59,7 @@ impl<'a> Workspace<'a> {
                     .push(CrateFiles { name: crate_name, modules: vec![(file_idx, module_path)] }),
             }
         }
-        Workspace { files, crates, facts }
+        Workspace { files, crates }
     }
 
     /// The crate with this directory name, if present.
@@ -138,27 +128,6 @@ mod tests {
         assert_eq!(x.module_file(&["c"]), Some(3), "mod.rs provides its directory's module");
         assert_eq!(x.module_file(&["c", "d"]), Some(4));
         assert_eq!(x.module_file(&["missing"]), None);
-    }
-
-    #[test]
-    fn facts_cover_library_files_inside_and_outside_crates() {
-        let files = vec![
-            SourceFile::new(
-                "src/lib.rs",
-                "pub fn facade(x: f64) -> f64 { x }\n",
-                FileKind::RustLibrary,
-            ),
-            SourceFile::new(
-                "crates/x/src/lib.rs",
-                "pub fn inner() {}\n",
-                FileKind::RustLibrary,
-            ),
-            SourceFile::new("tests/t.rs", "fn t() {}\n", FileKind::RustTest),
-        ];
-        let ws = Workspace::build(&files);
-        assert_eq!(ws.facts.len(), 2, "library files only");
-        assert_eq!(ws.facts[&0].fns[0].name, "facade");
-        assert_eq!(ws.facts[&1].fns[0].name, "inner");
     }
 
     #[test]

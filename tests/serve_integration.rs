@@ -812,6 +812,64 @@ fn cache_responses_bit_identical_for_arbitrary_requests() {
     server.shutdown();
 }
 
+/// Sobol's direction numbers stop at 16 inputs. A wider `sobol-qmc`
+/// job is refused while decoding, with `400`, instead of failing in the
+/// engine after admission with `500`; a batch names the job, and 16
+/// inputs still propagate.
+#[test]
+fn sobol_jobs_over_sixteen_inputs_answer_400_at_decode() {
+    let server = Server::start(
+        ServerConfig::default(),
+        ModelRegistry::standard().expect("registry builds"),
+    )
+    .expect("server starts");
+    let mut client = HttpClient::connect(server.addr()).expect("connects");
+    let wide = |n: usize| {
+        let inputs = vec![UncertainInput::Uniform { a: 0.0, b: 1.0 }; n];
+        let mut wire = WireRequest::new("sobol-qmc", "sum", inputs);
+        wire.budget = 256;
+        json::to_string(&wire)
+    };
+    let refused =
+        client.request("POST", "/v1/propagate", Some(&wide(17))).expect("response arrives");
+    assert_eq!(refused.status, 400, "body: {}", refused.body_text());
+    assert!(
+        refused.body_text().contains("engine 'sobol-qmc' takes at most 16 inputs, got 17"),
+        "{}",
+        refused.body_text()
+    );
+    let batch = format!("{{\"jobs\":[{},{}]}}", wide(16), wide(17));
+    let refused =
+        client.request("POST", "/v1/propagate/batch", Some(&batch)).expect("response arrives");
+    assert_eq!(refused.status, 400, "body: {}", refused.body_text());
+    assert!(refused.body_text().contains("job 1: "), "{}", refused.body_text());
+    let accepted =
+        client.request("POST", "/v1/propagate", Some(&wide(16))).expect("response arrives");
+    assert_eq!(accepted.status, 200, "body: {}", accepted.body_text());
+    assert_eq!(healthz(&mut client, "worker_panics"), Some(0));
+    server.shutdown();
+}
+
+/// Two Normals at the edge of `f64` overflow the evidential engine's
+/// output: its focal ends take both infinite signs, and their
+/// mass-weighted sum is NaN. The engine reports that as a failed
+/// propagation (`500 "propagation failed: …"`), not as a panic.
+#[test]
+fn evidential_overflow_answers_500_without_a_panic() {
+    let server = Server::start(
+        ServerConfig::default(),
+        ModelRegistry::standard().expect("registry builds"),
+    )
+    .expect("server starts");
+    let mut client = HttpClient::connect(server.addr()).expect("connects");
+    let body = r#"{"engine":"evidential","model":"sum","budget":1000,"inputs":[{"dist":"normal","mu":1e308,"sigma":1e308},{"dist":"normal","mu":1e308,"sigma":1e308}]}"#;
+    let failed = client.request("POST", "/v1/propagate", Some(body)).expect("response arrives");
+    assert_eq!(failed.status, 500, "body: {}", failed.body_text());
+    assert!(failed.body_text().contains("propagation failed: "), "{}", failed.body_text());
+    assert_eq!(healthz(&mut client, "worker_panics"), Some(0));
+    server.shutdown();
+}
+
 /// A request whose input count does not match its model is refused
 /// while decoding, with `400`: otherwise a 3-input model sent 2 inputs
 /// indexes past its slice (a worker panic, answered `500`), and a

@@ -5,8 +5,9 @@
 //! a lint fails the ordinary test suite; the rest exercise tidy
 //! in-process against the real tree — the JSON findings round-trip
 //! through the workspace's own reader, parallel and serial runs agree
-//! byte-for-byte, and the `facade` rule demonstrably fires when a real
-//! re-export is knocked out — and seed one case per retired tidy rule
+//! byte-for-byte, the `facade` rule demonstrably fires when a real
+//! re-export is knocked out, and `lock-hygiene` when a real lock scope
+//! is made to block — and seed one case per retired tidy rule
 //! into a fixture crate that clippy must reject under the table. The
 //! retired reachability, panic-path and float-eq rules keep their own
 //! fixtures, now checked by clippy in place of tidy.
@@ -74,7 +75,7 @@ fn json_findings_parse_with_the_in_tree_reader() {
     let doc = json::parse(stdout.trim()).expect("findings must be valid JSON");
     assert_eq!(
         doc.get("schema").and_then(json::Json::as_str),
-        Some("sysunc-tidy/3"),
+        Some("sysunc-tidy/4"),
         "schema id missing or wrong"
     );
     assert_eq!(doc.get("clean").and_then(json::Json::as_bool), Some(true));
@@ -85,8 +86,7 @@ fn json_findings_parse_with_the_in_tree_reader() {
         doc.get("violations").and_then(json::Json::as_arr).map(<[json::Json]>::len),
         Some(0)
     );
-    // Allowed findings carry the full file/line/rule/resolution/message
-    // shape; resolution is one of the two analysis layers.
+    // Allowed findings carry the full file/line/rule/message shape.
     let allowed = doc.get("allowed").and_then(json::Json::as_arr).expect("allowed array");
     assert!(!allowed.is_empty(), "the tree has acknowledged exceptions");
     // The ledger lists toolchain expectations under the retired rules'
@@ -107,14 +107,7 @@ fn json_findings_parse_with_the_in_tree_reader() {
         assert!(finding.get("line").and_then(json::Json::as_u64).is_some());
         assert!(finding.get("rule").and_then(json::Json::as_str).is_some());
         assert!(finding.get("message").and_then(json::Json::as_str).is_some());
-        let resolution = finding
-            .get("resolution")
-            .and_then(json::Json::as_str)
-            .expect("every finding carries its resolution provenance");
-        assert!(
-            matches!(resolution, "token" | "cfg"),
-            "unknown resolution layer `{resolution}`"
-        );
+        assert!(finding.get("resolution").is_none(), "schema 4 has no resolution member");
     }
 }
 
@@ -142,7 +135,6 @@ fn bare_explain_lists_rules_and_unknown_rules_exit_two() {
             "lock-hygiene",
             "facade",
             "seed-discipline-drift",
-            "lock-order-cycle",
             "unused-allow",
         ],
         "only the project-specific rules remain:\n{stdout}"
@@ -192,181 +184,97 @@ fn facade_fires_when_a_real_substrate_reexport_is_knocked_out() {
     assert_eq!(hits[0].file, Path::new("crates/core/src/lib.rs"));
 }
 
+/// The workspace's lock helper: the guard never leaves it.
+const WITH_HELPER: &str = "\
+use std::sync::{Mutex, PoisonError};
+/// Runs `f` under the lock.
+fn with<T, R>(m: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> R {
+    f(&mut m.lock().unwrap_or_else(PoisonError::into_inner))
+}
+";
+
+fn lock_hygiene_hits(src: &str) -> Vec<sysunc_tidy::Violation> {
+    let files = vec![SourceFile::new("crates/x/src/lib.rs", src, FileKind::RustLibrary)];
+    let report = check_files(&files);
+    report.violations.into_iter().filter(|v| v.rule == "lock-hygiene").collect()
+}
+
 #[test]
 fn lock_hygiene_fires_on_a_seeded_fixture() {
-    let files = vec![SourceFile::new(
-        "crates/x/src/lib.rs",
-        "//! Fixture.\n\
-         use std::sync::Mutex;\n\
-         /// Unwraps the lock, then sleeps on it.\n\
-         pub fn bad(m: &Mutex<u32>) -> u32 {\n\
-             let g = m.lock().unwrap();\n\
+    // A raw guard held across a sleep is an acquisition outside `with`;
+    // a `with` closure that sleeps blocks under the lock.
+    let hits = lock_hygiene_hits(&format!(
+        "//! Fixture.\n{WITH_HELPER}\
+         /// Locks, then sleeps on the guard.\n\
+         pub fn raw(m: &Mutex<u32>) -> u32 {{\n\
+             let g = m.lock().unwrap_or_else(PoisonError::into_inner);\n\
              std::thread::sleep(std::time::Duration::from_millis(1));\n\
              *g\n\
-         }\n",
-        FileKind::RustLibrary,
-    )];
-    let report = check_files(&files);
-    let hits: Vec<_> =
-        report.violations.iter().filter(|v| v.rule == "lock-hygiene").collect();
-    // The guard being live across the sleep is established on the CFG.
-    // The unwrapped acquisition is clippy's `unwrap_used` now, not a
-    // tidy finding.
-    assert_eq!(hits.len(), 1, "guard-across-sleep only, got: {hits:?}");
-    assert_eq!(hits[0].resolution, "cfg");
-    assert!(hits[0].message.contains("still live across"), "{hits:?}");
+         }}\n\
+         /// Sleeps inside the lock scope.\n\
+         pub fn scoped(m: &Mutex<u32>) -> u32 {{\n\
+             with(m, |x| {{ std::thread::sleep(std::time::Duration::from_millis(1)); *x }})\n\
+         }}\n"
+    ));
+    assert_eq!(hits.len(), 2, "one finding per shape, got: {hits:?}");
+    assert!(hits[0].message.contains("outside a `with` helper"), "{hits:?}");
+    assert!(hits[1].message.contains("`sleep` blocks under the lock"), "{hits:?}");
 }
 
 #[test]
 fn lock_hygiene_ignores_guards_gone_before_the_blocking_call() {
-    // The CFG regression the rewrite exists for: the guard is returned
-    // on one path and moved away on the other, so no path reaches the
-    // blocking `join` with the guard live. The old per-scope scan
-    // flagged exactly this shape.
-    let files = vec![SourceFile::new(
-        "crates/x/src/lib.rs",
-        "//! Fixture.\n\
-         use std::sync::{Mutex, MutexGuard};\n\
-         /// Consumes the guard, releasing the lock.\n\
-         fn consume(_g: MutexGuard<'_, u32>) {}\n\
-         /// Early return on one path, explicit hand-off on the other.\n\
-         pub fn drain(m: &Mutex<u32>, h: std::thread::JoinHandle<u32>) -> u32 {\n\
-             let g = m.lock().unwrap_or_else(|e| e.into_inner());\n\
-             if *g > 0 {\n\
-                 return *g;\n\
-             }\n\
-             consume(g);\n\
-             h.join().unwrap_or(0)\n\
-         }\n",
-        FileKind::RustLibrary,
-    )];
-    let report = check_files(&files);
-    let hits: Vec<_> =
-        report.violations.iter().filter(|v| v.rule == "lock-hygiene").collect();
-    assert!(hits.is_empty(), "no path holds the guard across `join`, got: {hits:?}");
+    // The value leaves the lock scope; the guard died inside `with`.
+    let hits = lock_hygiene_hits(&format!(
+        "//! Fixture.\n{WITH_HELPER}\
+         /// Reads under the lock, then joins outside it.\n\
+         pub fn read_then_join(m: &Mutex<u32>, h: std::thread::JoinHandle<u32>) -> u32 {{\n\
+             let v = with(m, |x| *x);\n\
+             v + h.join().unwrap_or(0)\n\
+         }}\n"
+    ));
+    assert!(hits.is_empty(), "no lock is held across `join`, got: {hits:?}");
 }
 
 #[test]
 fn lock_order_cycle_fires_when_two_fns_acquire_in_opposite_orders() {
-    let files = vec![SourceFile::new(
-        "crates/x/src/lib.rs",
-        "//! Fixture.\n\
-         use std::sync::Mutex;\n\
+    // Opposite orders need nested lock scopes, and each nesting fires.
+    let hits = lock_hygiene_hits(&format!(
+        "//! Fixture.\n{WITH_HELPER}\
          /// Takes `a` then `b`.\n\
-         pub fn ab(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {\n\
-             let ga = a.lock().unwrap_or_else(|e| e.into_inner());\n\
-             let gb = b.lock().unwrap_or_else(|e| e.into_inner());\n\
-             *ga + *gb\n\
-         }\n\
-         /// Takes `b` then `a` — the opposite order.\n\
-         pub fn ba(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {\n\
-             let gb = b.lock().unwrap_or_else(|e| e.into_inner());\n\
-             let ga = a.lock().unwrap_or_else(|e| e.into_inner());\n\
-             *ga + *gb\n\
-         }\n",
-        FileKind::RustLibrary,
-    )];
-    let report = check_files(&files);
-    let hits: Vec<_> =
-        report.violations.iter().filter(|v| v.rule == "lock-order-cycle").collect();
-    assert_eq!(hits.len(), 1, "one cycle, reported once, got: {hits:?}");
-    assert_eq!(hits[0].resolution, "cfg");
-    assert!(hits[0].message.contains("acquisition-order cycle"), "{hits:?}");
-    assert!(hits[0].message.contains('a') && hits[0].message.contains('b'), "{hits:?}");
+         pub fn ab(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {{\n\
+             with(a, |x| with(b, |y| *x + *y))\n\
+         }}\n\
+         /// Takes `b` then `a`: the opposite order.\n\
+         pub fn ba(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {{\n\
+             with(b, |y| with(a, |x| *x + *y))\n\
+         }}\n"
+    ));
+    assert_eq!(hits.len(), 2, "one finding per nesting, got: {hits:?}");
+    assert!(hits.iter().all(|v| v.message.contains("nested lock scopes")), "{hits:?}");
 }
 
 #[test]
-fn cfg_invariants_hold_over_randomized_bodies() {
-    use sysunc::prob::propcheck;
-    use sysunc_tidy::{cfg, resolve};
-
-    // Grow a random statement sequence from control-flow templates;
-    // depth-bounded so nesting terminates.
-    fn gen_stmts(g: &mut propcheck::Gen, depth: usize, out: &mut String) {
-        let n = g.usize_in(0, 4);
-        for _ in 0..n {
-            let choice = if depth == 0 { g.usize_in(0, 3) } else { g.usize_in(0, 8) };
-            match choice {
-                0 => out.push_str("let x = probe();\n"),
-                1 => out.push_str("tick();\n"),
-                2 => out.push_str("return;\n"),
-                3 => {
-                    out.push_str("if probe() {\n");
-                    gen_stmts(g, depth - 1, out);
-                    out.push_str("} else {\n");
-                    gen_stmts(g, depth - 1, out);
-                    out.push_str("}\n");
-                }
-                4 => {
-                    out.push_str("while probe() {\n");
-                    gen_stmts(g, depth - 1, out);
-                    out.push_str("}\n");
-                }
-                5 => {
-                    out.push_str("loop {\n");
-                    gen_stmts(g, depth - 1, out);
-                    out.push_str("break;\n}\n");
-                }
-                6 => {
-                    out.push_str("match probe() {\ntrue => {\n");
-                    gen_stmts(g, depth - 1, out);
-                    out.push_str("}\nfalse => {\n");
-                    gen_stmts(g, depth - 1, out);
-                    out.push_str("}\n}\n");
-                }
-                _ => {
-                    out.push_str("for _i in 0..4 {\n");
-                    gen_stmts(g, depth - 1, out);
-                    out.push_str("continue;\n}\n");
-                }
-            }
-        }
-    }
-
-    // Imperative recursive generation fits `gen_with` better than the
-    // combinator strategies; it generates whole bodies with no shrink.
-    propcheck::check(
-        "cfg_invariants_hold_over_randomized_bodies",
-        64,
-        propcheck::gen_with(|g| {
-            let mut body = String::from("//! Fixture.\npub fn f() {\n");
-            gen_stmts(g, 3, &mut body);
-            body.push_str("}\n");
-            body
-        }),
-        |body| {
-        let file = SourceFile::new("crates/x/src/lib.rs", body.clone(), FileKind::RustLibrary);
-        let facts = resolve::parse_facts(&file);
-        let f = facts.fns.first().expect("fixture declares one fn");
-        let graph = cfg::build(&file, f.body.expect("fixture fn has a body"));
-
-        // No dangling edges: every successor indexes a real block.
-        for (bi, block) in graph.blocks.iter().enumerate() {
-            for &s in &block.succs {
-                assert!(s < graph.blocks.len(), "block {bi} has dangling edge {s}\n{body}");
-            }
-        }
-        // Every block is reachable from the entry block.
-        let mut seen = vec![false; graph.blocks.len()];
-        let mut queue = vec![0usize];
-        seen[0] = true;
-        while let Some(b) = queue.pop() {
-            for &s in &graph.blocks[b].succs {
-                if !seen[s] {
-                    seen[s] = true;
-                    queue.push(s);
-                }
-            }
-        }
-        assert!(
-            seen.iter().all(|&r| r),
-            "unreachable block survived pruning\n{body}"
-        );
-        // The exit block, when present, is terminal.
-        if let Some(exit) = graph.exit {
-            assert!(graph.blocks[exit].succs.is_empty(), "exit has successors\n{body}");
-        }
-    });
+fn lock_hygiene_fires_when_a_real_lock_scope_blocks() {
+    // The fleet's child-slot locks are visible to the rule: a sleep
+    // inserted into a real `with` closure of the supervisor, in memory,
+    // is the one finding on the tree.
+    let mut files = walk::collect(root()).expect("workspace walks");
+    let supervisor = files
+        .iter_mut()
+        .find(|f| f.path == Path::new("crates/fleet/src/supervisor.rs"))
+        .expect("fleet supervisor present");
+    let scope = "with(m, |s| s.as_mut().map(ShardChild::is_alive).unwrap_or(false))";
+    let blocking = "with(m, |s| { std::thread::sleep(PROBE_TIMEOUT); \
+                    s.as_mut().map(ShardChild::is_alive).unwrap_or(false) })";
+    let edited = supervisor.content.replacen(scope, blocking, 1);
+    assert_ne!(edited, supervisor.content, "the liveness check's lock scope must exist");
+    *supervisor = SourceFile::new(supervisor.path.clone(), edited, FileKind::RustLibrary);
+    let report = check_files(&files);
+    assert_eq!(report.violations.len(), 1, "got: {:?}", report.violations);
+    let hit = &report.violations[0];
+    assert_eq!(hit.rule, "lock-hygiene");
+    assert_eq!(hit.file, Path::new("crates/fleet/src/supervisor.rs"));
+    assert!(hit.message.contains("`sleep` blocks under the lock"), "{hit:?}");
 }
 
 #[test]
