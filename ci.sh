@@ -7,35 +7,19 @@ cd "$(dirname "$0")"
 
 # The static-analysis gate runs first: it needs only the (small) tidy
 # crate to build, so a lint violation fails in seconds instead of after
-# a full release build + test cycle.
+# a full release build + test cycle. Its per-rule count of
+# acknowledged exceptions (the suppression ledger) is held equal to a
+# committed table by tests/tidy_gate.rs, which the test step runs.
 echo "== static-analysis gate =="
 cargo run -q --offline -p sysunc-tidy
-
-echo "== static-analysis gate (--json round-trip) =="
-# The machine-readable findings must be valid JSON by the workspace's
-# own reader; `jsonlint` (crates/prob's parser behind a tiny binary-free
-# check) is exercised via the test suite, so here we only assert shape.
-json="$(cargo run -q --offline -p sysunc-tidy -- --json)"
-case "$json" in
-  '{"schema":"sysunc-tidy/4"'*'"clean":true'*) echo "json findings: clean" ;;
-  *) echo "unexpected --json output: $json" >&2; exit 1 ;;
-esac
-
-echo "== lint-suppression trend record =="
-# Fold the findings into one sysunc-bench-trend/1 line so allowed/
-# baselined exception counts per rule stay visible over time, and fail
-# when any rule's count rose against the last recorded line (the
-# exception ledger must only ratchet down).
-printf '%s' "$json" | cargo run -q --offline -p sysunc-bench --bin tidy_trend -- \
-  --out BENCH_tidy_trend.json --fail-on-regression
 
 echo "== toolchain lint gate (clippy, workspace lint table) =="
 # Generic lint duty belongs to rustc and clippy: every member inherits
 # the root [workspace.lints] table (panic family, float_cmp,
 # missing_docs, unreachable_pub, per-site #[expect] discipline), and
 # serve/fleet deny clippy::indexing_slicing crate-wide. The binaries
-# (experiment binaries, tidy_trend, the servers) are held to the same
-# table. A check build fails in well under the release build's time.
+# (experiment binaries, tidy, the servers) are held to the same table.
+# A check build fails in well under the release build's time.
 cargo clippy --quiet --offline --workspace --lib --bins
 
 echo "== toolchain lint gate (clippy, perfbench) =="

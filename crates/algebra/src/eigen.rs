@@ -121,11 +121,7 @@ pub fn tridiagonal_eigen(diag: &[f64], offdiag: &[f64]) -> Result<TridiagonalEig
 
     // Sort ascending, carrying the first components along.
     let mut idx: Vec<usize> = (0..n).collect();
-    #[expect(
-        clippy::expect_used,
-        reason = "the implicit QL sweep only produces finite eigenvalues, so partial_cmp is total"
-    )]
-    idx.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite"));
+    idx.sort_by(|&a, &b| d[a].total_cmp(&d[b]));
     Ok(TridiagonalEigen {
         values: idx.iter().map(|&i| d[i]).collect(),
         first_components: idx.iter().map(|&i| z[i]).collect(),

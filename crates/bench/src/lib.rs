@@ -3,11 +3,8 @@
 //! Each experiment binary (`src/bin/exp_*.rs`) regenerates one
 //! table/figure-equivalent of the paper (see EXPERIMENTS.md at the
 //! workspace root); the helpers here keep their output format uniform.
-//! The [`trend`] module folds tidy's findings into the lint-suppression
-//! ledger that the `tidy_trend` binary appends to. Speed is measured by
-//! the workspace benchmark in `perfbench/`, not here.
-
-pub mod trend;
+//! Speed is measured by the workspace benchmark in `perfbench/`, not
+//! here.
 
 /// Prints an experiment header.
 pub fn header(id: &str, title: &str) {

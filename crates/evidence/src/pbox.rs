@@ -266,13 +266,7 @@ impl DsStructure {
             return self.clone();
         }
         let mut sorted = self.focal.clone();
-        sorted.sort_by(|a, b| {
-            #[expect(
-                clippy::expect_used,
-                reason = "focal intervals are finite, so their midpoints compare"
-            )]
-            a.0.midpoint().partial_cmp(&b.0.midpoint()).expect("finite midpoints")
-        });
+        sorted.sort_by(|a, b| a.0.midpoint().total_cmp(&b.0.midpoint()));
         let per_group = sorted.len().div_ceil(max_focal.max(1));
         let mut focal = Vec::new();
         for chunk in sorted.chunks(per_group) {

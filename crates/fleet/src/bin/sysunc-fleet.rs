@@ -3,8 +3,8 @@
 //! ```text
 //! sysunc-fleet [--shards N] [--addr HOST:PORT] [--serve-bin PATH]
 //!              [--child-workers N] [--child-queue N]
-//!              [--child-cache-capacity N] [--child-cache-ttl-ms N]
-//!              [--max-connections N] [--probe-interval-ms N]
+//!              [--child-cache-capacity N] [--max-connections N]
+//!              [--probe-interval-ms N]
 //! ```
 //!
 //! Spawns N supervised `sysunc-serve` shards, binds the routing front
@@ -43,9 +43,6 @@ fn parse_args(args: &[String]) -> Result<FleetConfig, String> {
             "--child-workers" => config.child_workers = value(&mut it, flag)?,
             "--child-queue" => config.child_queue = value(&mut it, flag)?,
             "--child-cache-capacity" => config.child_cache_capacity = value(&mut it, flag)?,
-            "--child-cache-ttl-ms" => {
-                config.child_cache_ttl = Some(Duration::from_millis(value(&mut it, flag)?))
-            }
             "--max-connections" => config.max_connections = value(&mut it, flag)?,
             "--probe-interval-ms" => {
                 config.probe_interval = Duration::from_millis(value(&mut it, flag)?)

@@ -71,8 +71,6 @@ pub struct FleetConfig {
     pub child_queue: usize,
     /// Response-cache entries per child.
     pub child_cache_capacity: usize,
-    /// Response-cache entry TTL per child; `None` never expires.
-    pub child_cache_ttl: Option<Duration>,
     /// Delay between health probes of one shard.
     pub probe_interval: Duration,
     /// First respawn backoff; doubles per consecutive failure.
@@ -95,7 +93,6 @@ impl Default for FleetConfig {
             child_workers: 2,
             child_queue: 64,
             child_cache_capacity: 1024,
-            child_cache_ttl: None,
             probe_interval: Duration::from_millis(50),
             restart_backoff: Duration::from_millis(50),
             handshake_timeout: Duration::from_secs(10),
@@ -109,19 +106,14 @@ impl FleetConfig {
     /// The child argv (after `--child --addr 127.0.0.1:0`) this config
     /// asks for.
     fn child_args(&self) -> Vec<String> {
-        let mut args = vec![
+        vec![
             "--workers".into(),
             self.child_workers.max(1).to_string(),
             "--queue".into(),
             self.child_queue.max(1).to_string(),
             "--cache-capacity".into(),
             self.child_cache_capacity.to_string(),
-        ];
-        if let Some(ttl) = self.child_cache_ttl {
-            args.push("--cache-ttl-ms".into());
-            args.push(ttl.as_millis().to_string());
-        }
-        args
+        ]
     }
 }
 

@@ -71,12 +71,7 @@ pub fn epistemic_importance(
             width_reduction: (baseline_width - width).max(0.0),
         });
     }
-    out.sort_by(|a, b| {
-        #[expect(clippy::expect_used, reason = "widths of finite probability intervals are finite")]
-        b.width_reduction
-            .partial_cmp(&a.width_reduction)
-            .expect("finite widths")
-    });
+    out.sort_by(|a, b| b.width_reduction.total_cmp(&a.width_reduction));
     Ok(out)
 }
 

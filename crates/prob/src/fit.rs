@@ -201,8 +201,7 @@ pub fn select_model(xs: &[f64]) -> Result<Vec<(FittedFamily, Box<dyn Continuous>
     if out.is_empty() {
         return Err(ProbError::EmptyData);
     }
-    #[expect(clippy::expect_used, reason = "AIC of a successful fit is finite")]
-    out.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite AIC"));
+    out.sort_by(|a, b| a.2.total_cmp(&b.2));
     Ok(out)
 }
 

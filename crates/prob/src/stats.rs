@@ -347,8 +347,13 @@ pub fn pearson_correlation(xs: &[f64], ys: &[f64]) -> Result<f64> {
 ///
 /// # Errors
 ///
-/// Same as [`pearson_correlation`].
+/// Same as [`pearson_correlation`]; additionally
+/// [`ProbError::InvalidParameter`] when either sample contains NaN,
+/// which has no rank.
 pub fn spearman_correlation(xs: &[f64], ys: &[f64]) -> Result<f64> {
+    if xs.iter().chain(ys).any(|x| x.is_nan()) {
+        return Err(ProbError::InvalidParameter("sample contains NaN".into()));
+    }
     let rx = ranks(xs);
     let ry = ranks(ys);
     pearson_correlation(&rx, &ry)
@@ -357,8 +362,7 @@ pub fn spearman_correlation(xs: &[f64], ys: &[f64]) -> Result<f64> {
 /// Mid-ranks (ties get the average rank).
 fn ranks(xs: &[f64]) -> Vec<f64> {
     let mut idx: Vec<usize> = (0..xs.len()).collect();
-    #[expect(clippy::expect_used, reason = "rank inputs come from NaN-free samples")]
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("NaN in rank input"));
+    idx.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
     let mut out = vec![0.0; xs.len()];
     let mut i = 0;
     while i < idx.len() {
@@ -601,6 +605,7 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|&x: &f64| x.exp()).collect();
         assert!((spearman_correlation(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
         assert!(pearson_correlation(&xs, &ys).unwrap() < 1.0);
+        assert!(spearman_correlation(&[1.0, f64::NAN, 3.0], &[1.0, 2.0, 3.0]).is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! sysunc-serve [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]
 //!              [--max-connections N] [--cache-capacity N] [--cache-shards N]
-//!              [--cache-ttl-ms N] [--child]
+//!              [--child]
 //! ```
 //!
 //! Binds (port 0 = ephemeral), prints `listening on <addr>` to stdout,
@@ -59,9 +59,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--max-connections" => config.max_connections = value(&mut it, flag)?,
             "--cache-capacity" => config.cache_capacity = value(&mut it, flag)?,
             "--cache-shards" => config.cache_shards = value(&mut it, flag)?,
-            "--cache-ttl-ms" => {
-                config.cache_ttl = Some(Duration::from_millis(value(&mut it, flag)?))
-            }
             "--child" => child = true,
             other => return Err(format!("unknown flag '{other}'")),
         }

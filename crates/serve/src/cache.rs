@@ -18,14 +18,11 @@
 //! the server-wide counters, keeping this module unit-testable in
 //! isolation.
 //!
-//! An optional TTL bounds staleness for deployments whose model
-//! registry may change between restarts (mutable registries are loaded
-//! per process): an entry older than the TTL is treated as a miss and
-//! dropped on lookup, so expiry needs no sweeper thread.
+//! Entries never expire: the model registry is fixed for the life of a
+//! server, so a cached body cannot go stale inside one process.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 /// One cached response body. `Arc` so a hit is a pointer clone, not a
 /// body copy, even while another thread evicts the entry.
@@ -35,8 +32,6 @@ struct Entry {
     body: Body,
     /// Shard-clock value of the most recent access.
     last_used: u64,
-    /// When the entry was inserted, for TTL expiry.
-    created: Instant,
 }
 
 struct Shard {
@@ -64,9 +59,6 @@ pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     /// Entries each shard holds before evicting; 0 disables the cache.
     shard_capacity: usize,
-    /// Maximum entry age before a lookup treats it as a miss;
-    /// `None` means entries never expire.
-    ttl: Option<Duration>,
 }
 
 impl std::fmt::Debug for ResponseCache {
@@ -74,7 +66,6 @@ impl std::fmt::Debug for ResponseCache {
         f.debug_struct("ResponseCache")
             .field("shards", &self.shards.len())
             .field("shard_capacity", &self.shard_capacity)
-            .field("ttl", &self.ttl)
             .field("len", &self.len())
             .finish()
     }
@@ -85,23 +76,14 @@ impl ResponseCache {
     /// shards (rounded up to the next power of two, clamped to at
     /// least 1, and to `capacity` so no shard has zero slots). A
     /// `capacity` of 0 disables caching entirely: every lookup misses
-    /// and inserts are dropped. Entries never expire; see
-    /// [`ResponseCache::with_ttl`] for bounded staleness.
+    /// and inserts are dropped.
     pub fn new(capacity: usize, shards: usize) -> Self {
-        Self::with_ttl(capacity, shards, None)
-    }
-
-    /// As [`ResponseCache::new`], with entries additionally expiring
-    /// `ttl` after insertion: an expired entry is dropped and reported
-    /// as a miss by the lookup that finds it, so no sweeper thread is
-    /// needed. `None` disables expiry.
-    pub fn with_ttl(capacity: usize, shards: usize, ttl: Option<Duration>) -> Self {
         let shards = shards.clamp(1, capacity.max(1)).next_power_of_two();
         let shard_capacity = capacity.div_ceil(shards);
         let shards = (0..shards)
             .map(|_| Mutex::new(Shard { entries: HashMap::new(), clock: 0 }))
             .collect();
-        Self { shards, shard_capacity, ttl }
+        Self { shards, shard_capacity }
     }
 
     /// Total entries the cache can hold.
@@ -131,20 +113,13 @@ impl ResponseCache {
     }
 
     /// Looks up the response cached for `key` (its content hash picks
-    /// the shard), refreshing its LRU position on a hit. An entry past
-    /// the cache's TTL is dropped and reported as a miss.
+    /// the shard), refreshing its LRU position on a hit.
     pub fn get(&self, hash: u64, key: &str) -> Option<Body> {
         if self.shard_capacity == 0 {
             return None;
         }
         with(self.shard(hash)?, |shard| {
             let tick = shard.tick();
-            if let (Some(ttl), Some(entry)) = (self.ttl, shard.entries.get(key)) {
-                if entry.created.elapsed() > ttl {
-                    shard.entries.remove(key);
-                    return None;
-                }
-            }
             let entry = shard.entries.get_mut(key)?;
             entry.last_used = tick;
             Some(Arc::clone(&entry.body))
@@ -176,7 +151,7 @@ impl ResponseCache {
                     evicted = 1;
                 }
             }
-            shard.entries.insert(key, Entry { body, last_used: tick, created: Instant::now() });
+            shard.entries.insert(key, Entry { body, last_used: tick });
             evicted
         })
     }
@@ -245,27 +220,6 @@ mod tests {
             cache.insert(i, format!("k{i}"), body("x"));
         }
         assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
-    fn expired_entries_miss_and_are_dropped() {
-        let cache = ResponseCache::with_ttl(8, 1, Some(Duration::from_millis(30)));
-        cache.insert(1, "k".into(), body("fresh"));
-        assert!(cache.get(1, "k").is_some(), "young entry hits");
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(cache.get(1, "k").is_none(), "expired entry misses");
-        assert!(cache.is_empty(), "the expired entry was dropped, not kept");
-        // Re-inserting after expiry starts a fresh lifetime.
-        cache.insert(1, "k".into(), body("again"));
-        assert_eq!(cache.get(1, "k").as_deref().map(String::as_str), Some("again"));
-    }
-
-    #[test]
-    fn no_ttl_means_entries_never_expire() {
-        let cache = ResponseCache::with_ttl(8, 1, None);
-        cache.insert(1, "k".into(), body("stays"));
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(cache.get(1, "k").is_some());
     }
 
     /// A child of a 2-shard fleet only sees hashes of one parity. Its

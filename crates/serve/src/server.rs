@@ -46,7 +46,8 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
     /// Propagations running at once (run permits of the admission
-    /// gate); also the thread count of one batch's `run_batch`.
+    /// gate); also the thread count of one batch's `run_batch`, and
+    /// the `workers` `/healthz` reports. 0 counts as 1.
     pub workers: usize,
     /// Propagate requests allowed to wait for a run permit before
     /// `503`.
@@ -60,9 +61,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Response-cache shards (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Response-cache entry lifetime; `None` means entries never
-    /// expire. Bounds staleness when the model registry is mutable.
-    pub cache_ttl: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -75,7 +73,6 @@ impl Default for ServerConfig {
             max_connections: 128,
             cache_capacity: 1024,
             cache_shards: 8,
-            cache_ttl: None,
         }
     }
 }
@@ -158,18 +155,16 @@ impl Server {
     /// # Errors
     ///
     /// Propagates bind/spawn failures as [`crate::ServeError::Io`].
-    pub fn start(config: ServerConfig, registry: ModelRegistry) -> Result<ServerHandle> {
+    pub fn start(mut config: ServerConfig, registry: ModelRegistry) -> Result<ServerHandle> {
+        // One run-permit count for the gate, `/healthz` and batches.
+        config.workers = config.workers.max(1);
         let metrics = Arc::new(ServerMetrics::new());
         let ctx = Arc::new(Ctx {
             registry,
             metrics: Arc::clone(&metrics),
             gate: AdmissionGate::new(config.workers, config.queue_capacity),
             panics: AtomicU64::new(0),
-            cache: ResponseCache::with_ttl(
-                config.cache_capacity,
-                config.cache_shards,
-                config.cache_ttl,
-            ),
+            cache: ResponseCache::new(config.cache_capacity, config.cache_shards),
             started: Instant::now(),
             config,
         });

@@ -58,16 +58,13 @@
 //! enclosing statement or item. Both are counted, never silent: allowed
 //! tidy findings and every `#[expect]` of a table lint appear in the
 //! report's `allowed` list, the latter under the name of the rule it
-//! replaced (see [`rules::GATED_LINTS`]), so the `BENCH_tidy_trend.json`
-//! ledger compares like with like. A stale `#[expect]` fails the build
-//! (`unfulfilled_lint_expectations`); a stale allow comment, or an
-//! `#![expect]`/`#![allow]` that silences a table lint for a whole
-//! module, is an `unused-allow` violation.
-//!
-//! Checking is parallel across files on [`std::thread::scope`]; the
-//! report is deterministic (byte-identical to a serial run). See
-//! [`report`] for the `--json` findings schema and the `tidy.baseline`
-//! ratchet format.
+//! replaced (see [`rules::GATED_LINTS`]). That list, counted per rule,
+//! is the suppression ledger: the workspace's `tests/tidy_gate.rs`
+//! holds it equal to a committed table, so an acknowledgement is added
+//! or retired only in a diff that also changes the table. A stale
+//! `#[expect]` fails the build (`unfulfilled_lint_expectations`); a
+//! stale allow comment, or an `#![expect]`/`#![allow]` that silences a
+//! table lint for a whole module, is an `unused-allow` violation.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -75,7 +72,6 @@ use std::path::{Path, PathBuf};
 
 pub mod cursor;
 pub mod lexer;
-pub mod report;
 pub mod rules;
 pub mod symbols;
 pub mod walk;
@@ -216,7 +212,7 @@ impl fmt::Display for Violation {
 }
 
 /// A single invariant checked over one file at a time.
-pub trait Lint: Sync {
+pub trait Lint {
     /// Short rule identifier used in reports and `allow(...)` comments.
     fn name(&self) -> &'static str;
 
@@ -233,7 +229,7 @@ pub trait Lint: Sync {
 
 /// An invariant checked over the whole workspace at once, with the
 /// [`symbols::Workspace`] table in hand. Workspace rules run after the
-/// per-file rules, single-threaded.
+/// per-file rules.
 pub trait WorkspaceLint {
     /// Short rule identifier used in reports and `allow(...)` comments.
     fn name(&self) -> &'static str;
@@ -246,16 +242,15 @@ pub trait WorkspaceLint {
 }
 
 /// The outcome of a full workspace run: surviving violations plus the
-/// ones acknowledged via `// tidy: allow(<rule>)` or ratcheted in the
-/// baseline file.
+/// acknowledged ones.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Report {
     /// Violations that stand (nonzero exit).
     pub violations: Vec<Violation>,
-    /// Violations suppressed by an explicit allow comment.
+    /// The suppression ledger: findings acknowledged via
+    /// `// tidy: allow(<rule>)`, and every `#[expect]` of a table lint
+    /// in library code under the name of the rule it replaced.
     pub allowed: Vec<Violation>,
-    /// Violations suppressed by the baseline ratchet file.
-    pub baselined: Vec<Violation>,
     /// How many files were scanned.
     pub files_scanned: usize,
 }
@@ -264,6 +259,19 @@ impl Report {
     /// True when the gate passes (no unacknowledged violations).
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// The suppression ledger: how many acknowledged exceptions each
+    /// rule has, in order of first appearance in [`Report::allowed`].
+    pub fn ledger(&self) -> Vec<(&'static str, usize)> {
+        let mut by_rule: Vec<(&'static str, usize)> = Vec::new();
+        for a in &self.allowed {
+            match by_rule.iter_mut().find(|(r, _)| *r == a.rule) {
+                Some((_, n)) => *n += 1,
+                None => by_rule.push((a.rule, 1)),
+            }
+        }
+        by_rule
     }
 }
 
@@ -407,47 +415,12 @@ fn check_one(file: &SourceFile, lints: &[Box<dyn Lint>]) -> Vec<Violation> {
     raw
 }
 
-/// Runs every lint over every file — per-file rules in parallel on
-/// [`std::thread::scope`], then the workspace rules — splitting
-/// findings into standing and explicitly allowed violations. The result
-/// is deterministic and identical to [`check_files_serial`].
+/// Runs every lint over every file — the per-file rules, then the
+/// workspace rules — splitting findings into standing and explicitly
+/// allowed violations, each list sorted by file, line and rule.
 pub fn check_files(files: &[SourceFile]) -> Report {
-    run_lints(files, true)
-}
-
-/// Serial variant of [`check_files`], for comparison and debugging.
-pub fn check_files_serial(files: &[SourceFile]) -> Report {
-    run_lints(files, false)
-}
-
-fn run_lints(files: &[SourceFile], parallel: bool) -> Report {
     let lints = rules::all();
-    // Per-file pass. Results are collected per chunk in file order, so
-    // the merged vector never depends on thread scheduling.
-    let mut raw: Vec<Violation> = if parallel && files.len() > 1 {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let chunk = files.len().div_ceil(workers.min(files.len()));
-        std::thread::scope(|s| {
-            let lints = &lints;
-            let handles: Vec<_> = files
-                .chunks(chunk)
-                .map(|fs| {
-                    s.spawn(move || {
-                        fs.iter().flat_map(|f| check_one(f, lints)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    } else {
-        files.iter().flat_map(|f| check_one(f, &lints)).collect()
-    };
+    let mut raw: Vec<Violation> = files.iter().flat_map(|f| check_one(f, &lints)).collect();
 
     // Workspace pass: rules that need the cross-file symbol table.
     let ws = symbols::Workspace::build(files);
@@ -599,13 +572,6 @@ fn cfg_test_attr(src: &str, tokens: &[Token], i: usize) -> Option<usize> {
     mentions_test.then_some(end)
 }
 
-/// True for lines that are entirely comments (`//`, `///`, `//!`).
-/// Retained for line-oriented checks over non-Rust files; Rust rules
-/// consume the token stream instead.
-pub fn is_comment_line(line: &str) -> bool {
-    line.trim_start().starts_with("//")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,29 +704,6 @@ fn shipped() {}
 ";
         let flags = test_block_lines(src);
         assert_eq!(flags, vec![true, true, true, true, false]);
-    }
-
-    #[test]
-    fn parallel_and_serial_reports_are_identical() {
-        let files: Vec<SourceFile> = (0..16)
-            .map(|i| {
-                SourceFile::new(
-                    format!("crates/x/src/f{i}.rs"),
-                    "pub fn f(m: &Mutex<u8>) -> u8 {\n\
-                     \x20   let g = m.lock();\n\
-                     \x20   with(m, |_| std::thread::sleep(D));\n\
-                     \x20   let _r = Rng::seed_from_u64(7);\n\
-                     \x20   *g\n\
-                     }\n\
-                     fn g() {} // tidy: allow(seed-discipline)\n",
-                    FileKind::RustLibrary,
-                )
-            })
-            .collect();
-        let par = check_files(&files);
-        let ser = check_files_serial(&files);
-        assert_eq!(par, ser);
-        assert!(!par.violations.is_empty(), "fixture should produce findings");
     }
 
     #[test]

@@ -1,30 +1,21 @@
 //! `sysunc-tidy` — runs the workspace lint gate.
 //!
 //! ```text
-//! cargo run -p sysunc-tidy -- [OPTIONS] [workspace-root]
+//! cargo run -p sysunc-tidy -- [--explain [rule]] [workspace-root]
 //!
-//!   --json               emit the sysunc-tidy/4 JSON findings object
-//!   --serial             check files serially (default: parallel)
-//!   --baseline <path>    apply a ratchet file (default: <root>/tidy.baseline
-//!                        when it exists)
-//!   --write-baseline     regenerate the baseline from the standing
-//!                        findings (to --baseline or <root>/tidy.baseline)
-//!                        instead of gating, then exit
 //!   --explain [rule]     print what a rule enforces and why, then exit;
 //!                        with no rule, list every rule one per line
 //!                        (unknown rules exit 2)
 //! ```
 //!
 //! Prints one `file:line: rule: message` per violation and exits
-//! nonzero when any stand. Explicitly allowed violations are counted
-//! and summarized so acknowledged exceptions stay visible; baselined
-//! violations likewise. See `sysunc_tidy::report` for the JSON schema
-//! and the baseline format.
+//! nonzero when any stand. Acknowledged exceptions (the suppression
+//! ledger) are counted per rule and summarized, so they stay visible;
+//! `tests/tidy_gate.rs` holds those counts equal to a committed table.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sysunc_tidy::report::{to_json, Baseline};
 use sysunc_tidy::{rules, walk};
 
 /// What `--explain` was asked to do.
@@ -38,36 +29,17 @@ enum ExplainMode {
 /// Parsed command line.
 struct Options {
     root: Option<PathBuf>,
-    json: bool,
-    serial: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
     explain: Option<ExplainMode>,
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        root: None,
-        json: false,
-        serial: false,
-        baseline: None,
-        write_baseline: false,
-        explain: None,
-    };
+    let mut opts = Options { root: None, explain: None };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
         i += 1;
         match arg.as_str() {
-            "--json" => opts.json = true,
-            "--serial" => opts.serial = true,
-            "--baseline" => {
-                let path = args.get(i).ok_or("--baseline needs a path argument")?;
-                opts.baseline = Some(PathBuf::from(path));
-                i += 1;
-            }
-            "--write-baseline" => opts.write_baseline = true,
             "--explain" => {
                 // The rule name is optional: a following token that
                 // looks like a flag (or nothing at all) means "list
@@ -125,7 +97,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let root = match opts.root.clone() {
+    let root = match opts.root {
         Some(p) => p,
         None => {
             let cwd = match std::env::current_dir() {
@@ -153,89 +125,18 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut report = if opts.serial {
-        sysunc_tidy::check_files_serial(&files)
-    } else {
-        sysunc_tidy::check_files(&files)
-    };
-
-    // --write-baseline regenerates the ratchet from the pre-ratchet
-    // findings: the freshly written file absorbs exactly what stands
-    // today, so the very next gate run is clean with zero stale
-    // entries (the round-trip the report tests pin down).
-    if opts.write_baseline {
-        let path = opts.baseline.clone().unwrap_or_else(|| root.join("tidy.baseline"));
-        let baseline = Baseline::from_report(&report);
-        if let Err(e) = std::fs::write(&path, baseline.render()) {
-            eprintln!("sysunc-tidy: cannot write baseline {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "sysunc-tidy: wrote {} budgeting {} standing finding(s)",
-            path.display(),
-            report.violations.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Apply the ratchet: an explicit --baseline path must exist; the
-    // default <root>/tidy.baseline applies only when present.
-    let baseline_path = opts.baseline.clone().or_else(|| {
-        let default = root.join("tidy.baseline");
-        default.exists().then_some(default)
-    });
-    let mut stale = Vec::new();
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("sysunc-tidy: cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match Baseline::parse(&text) {
-            Ok(b) => stale = b.apply(&mut report),
-            Err(e) => {
-                eprintln!("sysunc-tidy: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if opts.json {
-        println!("{}", to_json(&report));
-        return if report.clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
+    let report = sysunc_tidy::check_files(&files);
 
     for v in &report.violations {
         println!("{v}");
     }
     if !report.allowed.is_empty() {
-        let mut by_rule: Vec<(&str, usize)> = Vec::new();
-        for a in &report.allowed {
-            match by_rule.iter_mut().find(|(r, _)| *r == a.rule) {
-                Some((_, n)) => *n += 1,
-                None => by_rule.push((a.rule, 1)),
-            }
-        }
         let parts: Vec<String> =
-            by_rule.iter().map(|(r, n)| format!("{r}: {n}")).collect();
+            report.ledger().iter().map(|(r, n)| format!("{r}: {n}")).collect();
         println!(
             "sysunc-tidy: {} acknowledged exception(s) via `tidy: allow` or `#[expect]` ({})",
             report.allowed.len(),
             parts.join(", ")
-        );
-    }
-    if !report.baselined.is_empty() {
-        println!(
-            "sysunc-tidy: {} baselined finding(s) absorbed by the ratchet",
-            report.baselined.len()
-        );
-    }
-    for s in &stale {
-        println!(
-            "sysunc-tidy: stale baseline entry {}\t{}\t{} (only {} fired; ratchet down)",
-            s.entry.file, s.entry.rule, s.entry.count, s.actual
         );
     }
     println!(

@@ -28,7 +28,8 @@ use crate::{rules, FileKind, LintAttr, SourceFile, Violation};
 
 /// Each toolchain lint that replaced a retired tidy rule, with that
 /// rule's name. The ledger counts an `#[expect]` of the lint under the
-/// rule's name, so the `BENCH_tidy_trend.json` keys carry over.
+/// rule's name, so one table in `tests/tidy_gate.rs` covers tidy's own
+/// allow comments and the toolchain's expectations alike.
 pub const GATED_LINTS: &[(&str, &str)] = &[
     ("clippy::unwrap_used", "panic"),
     ("clippy::expect_used", "panic"),

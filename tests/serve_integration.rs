@@ -276,6 +276,20 @@ fn healthz(client: &mut HttpClient, key: &str) -> Option<u64> {
     json::parse(&health.body_text()).expect("healthz JSON").get(key).and_then(Json::as_u64)
 }
 
+/// `workers: 0` still runs one propagation at a time, and `/healthz`
+/// reports that one run permit, not the 0 it was configured with.
+#[test]
+fn healthz_reports_the_run_permits_the_gate_has() {
+    let server = Server::start(
+        ServerConfig { workers: 0, ..ServerConfig::default() },
+        ModelRegistry::standard().expect("registry builds"),
+    )
+    .expect("server starts");
+    let mut client = HttpClient::connect(server.addr()).expect("connects");
+    assert_eq!(healthz(&mut client, "workers"), Some(1));
+    server.shutdown();
+}
+
 /// A model that panics answers `500`; the panic is counted in
 /// `/healthz`, its run permit is returned, and the next request on the
 /// same single-permit server answers `200`.

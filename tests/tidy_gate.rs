@@ -3,9 +3,9 @@
 //! root `[workspace.lints]` table. The first tests run the real
 //! binaries the way CI does, so a regression in either the code base or
 //! a lint fails the ordinary test suite; the rest exercise tidy
-//! in-process against the real tree — the JSON findings round-trip
-//! through the workspace's own reader, parallel and serial runs agree
-//! byte-for-byte, the `facade` rule demonstrably fires when a real
+//! in-process against the real tree — the suppression ledger equals the
+//! committed [`LEDGER`] table and moves when a real file gains an
+//! `#[expect]`, the `facade` rule demonstrably fires when a real
 //! re-export is knocked out, and `lock-hygiene` when a real lock scope
 //! is made to block — and seed one case per retired tidy rule
 //! into a fixture crate that clippy must reject under the table. The
@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use sysunc::prob::json;
-use sysunc_tidy::{check_files, check_files_serial, walk, FileKind, SourceFile};
+use sysunc_tidy::{check_files, walk, FileKind, Report, SourceFile};
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -68,46 +68,67 @@ fn workspace_passes_sysunc_tidy_with_zero_violations() {
     assert!(scanned > 100, "suspiciously few files scanned: {scanned}");
 }
 
+/// The suppression ledger: acknowledged exceptions per rule, sorted by
+/// rule name. Every `// tidy: allow(<rule>)` and every library
+/// `#[expect]` of a table lint (counted under the rule the lint
+/// replaced, `sysunc_tidy::rules::GATED_LINTS`) is one entry. Adding an
+/// acknowledgement means raising its count here in the same diff;
+/// retiring one means lowering it.
+const LEDGER: &[(&str, usize)] = &[("float-eq", 15), ("panic", 27), ("prob-contract", 3)];
+
+/// `report`'s ledger, sorted by rule name like [`LEDGER`].
+fn sorted_ledger(report: &Report) -> Vec<(&'static str, usize)> {
+    let mut ledger = report.ledger();
+    ledger.sort_unstable();
+    ledger
+}
+
 #[test]
-fn json_findings_parse_with_the_in_tree_reader() {
-    let (ok, stdout, stderr) = run_tidy(&["--json"]);
-    assert!(ok, "sysunc-tidy --json failed:\n{stdout}\n{stderr}");
-    let doc = json::parse(stdout.trim()).expect("findings must be valid JSON");
+fn suppression_ledger_matches_the_committed_table() {
+    let report = sysunc_tidy::check_workspace(root()).expect("workspace walks");
     assert_eq!(
-        doc.get("schema").and_then(json::Json::as_str),
-        Some("sysunc-tidy/4"),
-        "schema id missing or wrong"
+        sorted_ledger(&report),
+        LEDGER,
+        "the acknowledged exceptions changed; update LEDGER in the same diff:\n{:#?}",
+        report.allowed
     );
-    assert_eq!(doc.get("clean").and_then(json::Json::as_bool), Some(true));
-    let scanned =
-        doc.get("files_scanned").and_then(json::Json::as_usize).expect("files_scanned");
-    assert!(scanned > 100, "suspiciously few files scanned: {scanned}");
-    assert_eq!(
-        doc.get("violations").and_then(json::Json::as_arr).map(<[json::Json]>::len),
-        Some(0)
+}
+
+#[test]
+fn ledger_moves_when_a_real_file_gains_an_expect() {
+    // One more `#[expect]` in a real library file, in memory, raises
+    // exactly its rule's count, so the table comparison above fails.
+    let mut files = walk::collect(root()).expect("workspace walks");
+    let before = sorted_ledger(&check_files(&files));
+    let stats = files
+        .iter_mut()
+        .find(|f| f.path == Path::new("crates/prob/src/stats.rs"))
+        .expect("prob stats present");
+    let item = "fn ranks(xs: &[f64]) -> Vec<f64> {";
+    let edited = stats.content.replacen(
+        item,
+        &format!("#[expect(clippy::float_cmp, reason = \"knockout\")]\n{item}"),
+        1,
     );
-    // Allowed findings carry the full file/line/rule/message shape.
-    let allowed = doc.get("allowed").and_then(json::Json::as_arr).expect("allowed array");
-    assert!(!allowed.is_empty(), "the tree has acknowledged exceptions");
-    // The ledger lists toolchain expectations under the retired rules'
-    // names, so the trend keys compare like with like.
-    for rule in ["panic", "float-eq"] {
-        assert!(
-            allowed.iter().any(|f| {
-                f.get("rule").and_then(json::Json::as_str) == Some(rule)
-                    && f.get("message")
-                        .and_then(json::Json::as_str)
-                        .is_some_and(|m| m.starts_with("`#[expect(clippy::"))
-            }),
-            "no `{rule}` ledger entry for an #[expect] in the tree"
-        );
-    }
-    for finding in allowed {
-        assert!(finding.get("file").and_then(json::Json::as_str).is_some());
-        assert!(finding.get("line").and_then(json::Json::as_u64).is_some());
-        assert!(finding.get("rule").and_then(json::Json::as_str).is_some());
-        assert!(finding.get("message").and_then(json::Json::as_str).is_some());
-        assert!(finding.get("resolution").is_none(), "schema 4 has no resolution member");
+    assert_ne!(edited, stats.content, "the item to annotate must exist");
+    *stats = SourceFile::new(stats.path.clone(), edited, FileKind::RustLibrary);
+    let report = check_files(&files);
+    assert!(report.clean(), "an #[expect] is counted, not a violation: {:?}", report.violations);
+    let expected: Vec<(&str, usize)> = before
+        .iter()
+        .map(|&(rule, n)| (rule, if rule == "float-eq" { n + 1 } else { n }))
+        .collect();
+    let after = sorted_ledger(&report);
+    assert_eq!(after, expected);
+    assert_ne!(after, LEDGER, "the committed table would catch the new entry");
+}
+
+#[test]
+fn retired_flags_are_unknown() {
+    for flag in ["--json", "--serial", "--baseline", "--write-baseline"] {
+        let (ok, _, stderr) = run_tidy(&[flag]);
+        assert!(!ok, "`{flag}` must fail");
+        assert!(stderr.contains("unknown flag"), "`{flag}`: {stderr}");
     }
 }
 
@@ -149,14 +170,6 @@ fn bare_explain_lists_rules_and_unknown_rules_exit_two() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown rule"), "{stderr}");
     assert!(stderr.contains("lock-hygiene"), "stderr lists the known rules: {stderr}");
-}
-
-#[test]
-fn parallel_and_serial_runs_agree_on_the_real_tree() {
-    let files = walk::collect(root()).expect("workspace walks");
-    let par = check_files(&files);
-    let ser = check_files_serial(&files);
-    assert_eq!(par, ser, "parallel checking must be deterministic");
 }
 
 #[test]
@@ -314,17 +327,17 @@ fn former_textual_false_positives_do_not_fire() {
 
 #[test]
 fn workspace_libraries_pass_clippy_under_the_lint_table() {
-    // The toolchain half of the gate: every library target, checked by
-    // clippy with the root `[workspace.lints]` table each member
-    // inherits (deny-level lints fail the run).
+    // The toolchain half of the gate: every library and binary target,
+    // checked by clippy with the root `[workspace.lints]` table each
+    // member inherits (deny-level lints fail the run), as ci.sh does.
     let output = Command::new(cargo())
-        .args(["clippy", "--quiet", "--offline", "--workspace", "--lib"])
+        .args(["clippy", "--quiet", "--offline", "--workspace", "--lib", "--bins"])
         .current_dir(root())
         .output()
         .expect("cargo clippy should spawn");
     assert!(
         output.status.success(),
-        "cargo clippy --workspace --lib failed:\n{}",
+        "cargo clippy --workspace --lib --bins failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
 }
