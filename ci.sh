@@ -19,8 +19,9 @@ echo "== toolchain lint gate (clippy, workspace lint table) =="
 # missing_docs, unreachable_pub, per-site #[expect] discipline), and
 # serve/fleet deny clippy::indexing_slicing crate-wide. The binaries
 # (experiment binaries, tidy, the servers) are held to the same table.
+# `-D warnings` fails the step on clippy's default-level warnings too.
 # A check build fails in well under the release build's time.
-cargo clippy --quiet --offline --workspace --lib --bins
+cargo clippy --quiet --offline --workspace --lib --bins -- -D warnings
 
 echo "== toolchain lint gate (clippy, perfbench) =="
 # perfbench/ is its own workspace and does not inherit the table, so

@@ -79,8 +79,8 @@ impl Cholesky {
         let mut y = vec![0.0; n];
         for i in 0..n {
             let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
+            for (k, &yk) in y.iter().enumerate().take(i) {
+                sum -= self.l[(i, k)] * yk;
             }
             y[i] = sum / self.l[(i, i)];
         }
@@ -88,8 +88,8 @@ impl Cholesky {
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
             let mut sum = y[i];
-            for k in i + 1..n {
-                sum -= self.l[(k, i)] * x[k];
+            for (k, &xk) in x.iter().enumerate().skip(i + 1) {
+                sum -= self.l[(k, i)] * xk;
             }
             x[i] = sum / self.l[(i, i)];
         }
@@ -188,8 +188,8 @@ impl Lu {
         let mut y = vec![0.0; n];
         for i in 0..n {
             let mut sum = b[self.perm[i]];
-            for k in 0..i {
-                sum -= self.lu[(i, k)] * y[k];
+            for (k, &yk) in y.iter().enumerate().take(i) {
+                sum -= self.lu[(i, k)] * yk;
             }
             y[i] = sum;
         }
@@ -197,8 +197,8 @@ impl Lu {
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
             let mut sum = y[i];
-            for k in i + 1..n {
-                sum -= self.lu[(i, k)] * x[k];
+            for (k, &xk) in x.iter().enumerate().skip(i + 1) {
+                sum -= self.lu[(i, k)] * xk;
             }
             x[i] = sum / self.lu[(i, i)];
         }

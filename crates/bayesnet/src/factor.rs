@@ -32,7 +32,7 @@ impl Factor {
         if !vars.iter().all(|v| seen.insert(*v)) {
             return Err(BnError::InvalidFactor("repeated variable".into()));
         }
-        if card.iter().any(|&c| c == 0) {
+        if card.contains(&0) {
             return Err(BnError::InvalidFactor("zero cardinality".into()));
         }
         let size: usize = card.iter().product();

@@ -254,7 +254,7 @@ impl FromJson for BayesNet {
             let cpt_json = node.get("cpt").and_then(Json::as_arr).ok_or_else(|| JsonError::missing("cpt"))?;
             let cpt = cpt_json
                 .iter()
-                .map(|row| Vec::<f64>::from_json(row))
+                .map(Vec::<f64>::from_json)
                 .collect::<std::result::Result<Vec<Vec<f64>>, JsonError>>()?;
             bn.add_node(name, states, parents, cpt)
                 .map_err(|e| JsonError::decode(e.to_string()))?;

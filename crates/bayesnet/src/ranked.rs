@@ -56,7 +56,7 @@ pub fn ranked_cpt(
             "ranked_cpt: one weight per parent required (non-empty)".into(),
         ));
     }
-    if parent_state_counts.iter().any(|&c| c == 0) || child_states == 0 {
+    if parent_state_counts.contains(&0) || child_states == 0 {
         return Err(BnError::InvalidNode("ranked_cpt: zero state count".into()));
     }
     if weights.iter().any(|&w| w < 0.0 || !w.is_finite()) {

@@ -785,12 +785,16 @@ pub fn run_batch_serial(jobs: &[BatchJob<'_, '_>]) -> Vec<Result<PropagationRepo
 
 /// Runs a batch of jobs across `threads` scoped OS threads, preserving
 /// order. Every engine derives its randomness from the request seed, so
-/// the results are bit-identical to [`run_batch_serial`].
+/// the results are bit-identical to [`run_batch_serial`]. A batch that
+/// would start one worker (one job, or `threads <= 1`) runs on the
+/// calling thread: a spawn and join would only add their cost.
 pub fn run_batch(jobs: &[BatchJob<'_, '_>], threads: usize) -> Vec<Result<PropagationReport>> {
-    let threads = threads.max(1);
+    let chunk = jobs.len().div_ceil(threads.max(1)).max(1);
+    if chunk >= jobs.len() {
+        return run_batch_serial(jobs);
+    }
     let mut results: Vec<Option<Result<PropagationReport>>> =
         jobs.iter().map(|_| None).collect();
-    let chunk = jobs.len().div_ceil(threads).max(1);
     std::thread::scope(|scope| {
         for (job_chunk, slot_chunk) in jobs.chunks(chunk).zip(results.chunks_mut(chunk)) {
             scope.spawn(move || {
@@ -1005,6 +1009,40 @@ mod tests {
         for threads in [1, 2, 4, 7] {
             let parallel = run_batch(&jobs, threads);
             assert_eq!(serial, parallel, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn one_worker_batches_run_on_the_calling_thread() {
+        /// Reports the thread each job runs on, and runs nothing.
+        struct ThreadProbe(std::sync::mpsc::Sender<std::thread::ThreadId>);
+        impl Propagator for ThreadProbe {
+            fn name(&self) -> &'static str {
+                "thread-probe"
+            }
+            fn means(&self) -> Means {
+                Means::Removal
+            }
+            fn propagate(&self, _: &PropagationRequest<'_>) -> Result<PropagationReport> {
+                self.0.send(std::thread::current().id()).unwrap();
+                Err(Error::InvalidInput("probe only".into()))
+            }
+        }
+        let model = |x: &[f64]| x[0];
+        let request =
+            PropagationRequest::new(vec![UncertainInput::Normal { mu: 0.0, sigma: 1.0 }], &model)
+                .unwrap();
+        let caller = std::thread::current().id();
+        for (jobs, threads, on_caller) in [(1, 4, true), (3, 1, true), (2, 2, false)] {
+            let (sender, ran_on) = std::sync::mpsc::channel();
+            let probe = ThreadProbe(sender);
+            let batch: Vec<BatchJob<'_, '_>> = (0..jobs).map(|_| (&probe as _, &request)).collect();
+            assert_eq!(run_batch(&batch, threads).len(), jobs);
+            let threads_used: Vec<_> = ran_on.try_iter().collect();
+            assert_eq!(threads_used.len(), jobs);
+            for id in threads_used {
+                assert_eq!(id == caller, on_caller, "{jobs} job(s) on {threads} thread(s)");
+            }
         }
     }
 

@@ -23,7 +23,8 @@ pub struct FleetMetrics {
     probe_failures: AtomicU64,
     /// Forwarding attempts retried after a backend transport error.
     forward_retries: AtomicU64,
-    /// Requests answered 503 because no shard could take them in time.
+    /// Requests answered 503: no shard took them in time, or their
+    /// re-send failed too.
     unrouted: AtomicU64,
 }
 
@@ -63,7 +64,8 @@ impl FleetMetrics {
         self.forward_retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one request no shard could take before its deadline.
+    /// Records one request answered `503`: no shard took it before its
+    /// deadline, or its re-send failed too.
     pub fn unroutable(&self) {
         self.unrouted.fetch_add(1, Ordering::Relaxed);
     }
@@ -141,7 +143,7 @@ impl FleetMetrics {
         scalar(
             &mut out,
             "sysunc_fleet_unrouted_total",
-            "Requests no healthy shard could take before the deadline.",
+            "Requests answered 503: no shard took them in time, or their re-send failed.",
             self.unrouted_count(),
         );
         out

@@ -15,13 +15,17 @@
 //! cost over the ceiling) is answered `400` at the front with the bytes
 //! a shard would send, and never reaches a shard.
 //!
-//! Forwarding is retried until the request deadline: a transport error
-//! invalidates the pooled backend connection, and the shard table is
-//! re-resolved each attempt, so a request that arrives while its
-//! primary shard is mid-restart simply waits out the respawn or rides
-//! the ring walk to a fallback shard. Retrying a propagate is safe —
-//! propagations are deterministic by seed, so a duplicate execution
-//! produces identical bytes.
+//! Routing waits out restarts until the request deadline: a failed
+//! connect is retried and the shard table is re-resolved each attempt,
+//! so a request that arrives while its primary shard is mid-restart
+//! simply waits out the respawn or rides the ring walk to a fallback
+//! shard. A request is *re-sent* at most once: a send that fails on an
+//! open backend connection drops that connection and tries again, since
+//! the connection may only have gone stale and propagations are
+//! deterministic by seed, so a duplicate execution produces identical
+//! bytes. A second failed send answers `503`: the request itself may be
+//! what kills its shard, and walking it across the fleet would empty
+//! every shard's cache.
 //!
 //! The front answers two routes itself: `GET /healthz` (fleet summary,
 //! no child touched) and `GET /metrics` (the `sysunc_fleet_*` series
@@ -45,6 +49,10 @@ const BACKEND_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Pause between routing attempts while a shard restarts.
 const RETRY_PAUSE: Duration = Duration::from_millis(10);
+
+/// Failed sends of one request before the front answers `503`: one
+/// re-send, no more.
+const MAX_FAILED_SENDS: u32 = 2;
 
 /// A pooled connection to one shard, valid for one process generation.
 pub(crate) struct Backend {
@@ -94,11 +102,12 @@ fn placement_hash(request: &Request, shared: &Shared) -> Result<u64, Response> {
     }
 }
 
-/// Forwards a request to the shard owning `hash`, retrying across
-/// shard restarts until the request deadline. A pooled backend
-/// connection is reused only while its process generation matches the
-/// shard table — a restart bumps the generation, which retires
-/// connections into the dead process.
+/// Forwards a request to the shard owning `hash`, retrying connects
+/// across shard restarts until the request deadline and re-sending the
+/// request at most once. A pooled backend connection is reused only
+/// while its process generation matches the shard table — a restart
+/// bumps the generation, which retires connections into the dead
+/// process.
 fn forward(
     hash: u64,
     request: &Request,
@@ -111,6 +120,7 @@ fn forward(
     } else {
         Some(String::from_utf8_lossy(&request.body).into_owned())
     };
+    let mut failed_sends = 0;
     loop {
         let Some((slot, view)) = shared.table.healthy_slot_for(hash) else {
             // No healthy shard: wait out a restart, give up at the
@@ -155,11 +165,12 @@ fn forward(
             }
             Err(_) => {
                 // The child died (or the response timed out) mid-flight:
-                // drop the connection and re-resolve. Retrying is safe —
-                // propagations are deterministic by seed.
+                // drop the connection and re-resolve. One re-send is
+                // safe — propagations are deterministic by seed.
                 backends.remove(&slot);
                 shared.metrics.forward_retried();
-                if Instant::now() >= deadline {
+                failed_sends += 1;
+                if failed_sends >= MAX_FAILED_SENDS || Instant::now() >= deadline {
                     shared.metrics.unroutable();
                     return error_response(503, "shard request failed; retry shortly")
                         .with_header("Retry-After", "1");
@@ -218,4 +229,68 @@ fn aggregate_metrics(shared: &Shared) -> Response {
     let mut out = shared.metrics.render_text();
     out.push_str(&merge_expositions(&texts));
     Response::new(200).with_text(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::FleetMetrics;
+    use crate::shard::ShardTable;
+    use crate::supervisor::FleetConfig;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
+    use sysunc::ModelRegistry;
+    use sysunc_serve::http::HttpConn;
+    use sysunc_serve::{ShutdownSignal, LIMITS};
+
+    #[test]
+    fn a_request_whose_shard_drops_it_is_sent_at_most_twice() {
+        // A fake shard that reads each request and hangs up without an
+        // answer, as a shard killed by the body would. A connection
+        // that sends nothing stops it; it returns the requests it read.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound address");
+        let shard = std::thread::spawn(move || {
+            let mut requests = 0;
+            for stream in listener.incoming().flatten() {
+                match HttpConn::new(stream).read_request(&LIMITS, &mut || false) {
+                    Ok(Some(_)) => requests += 1,
+                    _ => break,
+                }
+            }
+            requests
+        });
+        let table = ShardTable::new(1);
+        table.install(0, addr);
+        let timeout = Duration::from_secs(5);
+        let shared = Shared {
+            table,
+            registry: ModelRegistry::standard().expect("registry builds"),
+            metrics: Arc::new(FleetMetrics::new(1)),
+            signal: ShutdownSignal::new(),
+            config: FleetConfig { request_timeout: timeout, ..FleetConfig::default() },
+            rotor: AtomicU64::new(0),
+            started: Instant::now(),
+        };
+        let request = Request {
+            method: "POST".into(),
+            target: "/v1/propagate".into(),
+            minor_version: 1,
+            headers: Vec::new(),
+            body: b"{}".to_vec(),
+        };
+
+        let sent = Instant::now();
+        let response = forward(0, &request, &shared, &mut HashMap::new());
+        let elapsed = sent.elapsed();
+        drop(TcpStream::connect(addr).expect("reaches the fake shard"));
+        assert_eq!(shard.join().expect("fake shard runs"), 2, "one send and one re-send");
+        assert_eq!(response.status, 503, "{}", response.body_text());
+        assert_eq!(response.header("Retry-After"), Some("1"));
+        assert!(response.body_text().contains("shard request failed"), "{}", response.body_text());
+        assert!(elapsed < timeout, "answered before the deadline, after {elapsed:?}");
+        assert_eq!(shared.metrics.unrouted_count(), 1);
+        assert_eq!(shared.metrics.forward_retry_count(), 2);
+    }
 }

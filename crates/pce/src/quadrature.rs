@@ -104,7 +104,7 @@ pub fn sparse_grid(families: &[PolyFamily], level: usize) -> Result<Grid> {
         if diff > d - 1 {
             continue;
         }
-        let coeff = (if diff % 2 == 0 { 1.0 } else { -1.0 }) * binomial(d - 1, diff) as f64;
+        let coeff = (if diff.is_multiple_of(2) { 1.0 } else { -1.0 }) * binomial(d - 1, diff) as f64;
         // Enumerate k with k_i >= 1 and |k| = total.
         let mut k = vec![1usize; d];
         enumerate_compositions(total, d, &mut k, 0, &mut |k| {

@@ -150,8 +150,7 @@ impl FusionSystem {
             )));
         }
         let k = self.known_len();
-        let mut names: Vec<String> =
-            self.channels[0].labels()[..k].iter().cloned().collect();
+        let mut names: Vec<String> = self.channels[0].labels()[..k].to_vec();
         names.push("unknown".into());
         let frame =
             Frame::new(names).map_err(|e| PerceptionError::InvalidFusion(e.to_string()))?;

@@ -76,9 +76,7 @@ impl Discrete for Binomial {
             clippy::float_cmp,
             reason = "p = 1 is the exact degenerate parameter; every other p takes the general formula"
         )]
-        if k >= self.n {
-            1.0
-        } else if self.p == 0.0 {
+        if k >= self.n || self.p == 0.0 {
             1.0
         } else if self.p == 1.0 {
             0.0

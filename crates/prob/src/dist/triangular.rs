@@ -34,7 +34,7 @@ impl Triangular {
     /// Returns [`ProbError::InvalidParameter`] unless `a <= c <= b`, `a < b`,
     /// and all are finite.
     pub fn new(a: f64, c: f64, b: f64) -> Result<Self> {
-        if !a.is_finite() || !b.is_finite() || !c.is_finite() || !(a <= c && c <= b && a < b) {
+        if !(a.is_finite() && b.is_finite() && c.is_finite() && a <= c && c <= b && a < b) {
             return Err(ProbError::InvalidParameter(format!(
                 "Triangular requires a <= c <= b with a < b, got ({a}, {c}, {b})"
             )));

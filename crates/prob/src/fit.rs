@@ -167,6 +167,10 @@ pub enum FittedFamily {
     Uniform,
 }
 
+/// One candidate of [`select_model`]: the family, its fitted
+/// distribution and its AIC score.
+pub type ScoredFit = (FittedFamily, Box<dyn Continuous>, f64);
+
 /// Fits all applicable candidate families and returns them with AIC
 /// scores, best first. Positive-only families are skipped for data with
 /// non-positive values.
@@ -174,8 +178,8 @@ pub enum FittedFamily {
 /// # Errors
 ///
 /// Returns [`ProbError::EmptyData`] when no family could be fitted.
-pub fn select_model(xs: &[f64]) -> Result<Vec<(FittedFamily, Box<dyn Continuous>, f64)>> {
-    let mut out: Vec<(FittedFamily, Box<dyn Continuous>, f64)> = Vec::new();
+pub fn select_model(xs: &[f64]) -> Result<Vec<ScoredFit>> {
+    let mut out: Vec<ScoredFit> = Vec::new();
     if let Ok(d) = fit_normal(xs) {
         let score = aic(&d, xs, 2);
         out.push((FittedFamily::Normal, Box::new(d), score));

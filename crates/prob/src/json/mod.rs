@@ -483,8 +483,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.text.as_bytes()[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = self.text.get(start..self.pos).ok_or_else(|| self.err("invalid number"))?;
         if integral && !text.starts_with('-') {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::U64(n));

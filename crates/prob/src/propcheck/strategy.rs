@@ -926,11 +926,14 @@ where
 // Domain helpers.
 // ------------------------------------------------------------------
 
+/// The strategy [`prob_vec`] returns: raw draws, normalized.
+type ProbVec = Map<VecOf<F64Range>, fn(Vec<f64>) -> Vec<f64>>;
+
 /// A normalized probability vector of length `len` (entries positive,
 /// summing to one) — the workhorse input for distribution-valued
 /// properties. Shrinks the underlying raw draws toward uniformity.
 /// Range: each entry lies in `(0, 1]` and the entries sum to one.
-pub fn prob_vec(len: usize) -> Map<VecOf<F64Range>, fn(Vec<f64>) -> Vec<f64>> {
+pub fn prob_vec(len: usize) -> ProbVec {
     fn normalize(raw: Vec<f64>) -> Vec<f64> {
         let total: f64 = raw.iter().sum();
         raw.into_iter().map(|x| x / total).collect()

@@ -26,7 +26,7 @@
 //! `s = p` up to 1/2 and 1 above, and non-decreasing in `p`.
 
 /// Natural logarithm of `sqrt(2 * pi)`.
-pub const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_74;
+pub const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_8;
 
 /// `sqrt(2)`.
 pub const SQRT_2: f64 = std::f64::consts::SQRT_2;
@@ -40,14 +40,14 @@ const MAX_ITER: usize = 500;
 /// Lanczos coefficients (g = 7, n = 9), giving ~15 significant digits.
 const LANCZOS_G: f64 = 7.0;
 const LANCZOS_COEF: [f64; 9] = [
-    0.999_999_999_999_809_93,
+    0.999_999_999_999_809_9,
     676.520_368_121_885_1,
     -1_259.139_216_722_402_8,
-    771.323_428_777_653_13,
+    771.323_428_777_653_1,
     -176.615_029_162_140_6,
     12.507_343_278_686_905,
     -0.138_571_095_265_720_12,
-    9.984_369_578_019_571_6e-6,
+    9.984_369_578_019_572e-6,
     1.505_632_735_149_311_6e-7,
 ];
 

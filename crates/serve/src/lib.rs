@@ -23,6 +23,7 @@
 //! sharded LRU cache serves repeated requests bit-identically
 //! (`X-Sysunc-Cache: hit`), and `POST /v1/propagate/batch` runs many
 //! jobs per request with intra-batch dedup through `core::run_batch`.
+//! `POST /v1/propagate` takes the same path as a batch of one job.
 //! See `PROTOCOL.md` for the full route and schema reference.
 //!
 //! ```no_run

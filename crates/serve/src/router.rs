@@ -6,8 +6,8 @@
 //!
 //! | method | path | handler |
 //! |---|---|---|
-//! | `POST` | `/v1/propagate` | run a [`WireRequest`] on the connection thread, once admitted |
-//! | `POST` | `/v1/propagate/batch` | run many jobs through `run_batch`, deduplicated |
+//! | `POST` | `/v1/propagate` | one [`WireRequest`], answered as a one-job batch |
+//! | `POST` | `/v1/propagate/batch` | many jobs, deduplicated, run through [`run_batch_jobs`] |
 //! | `GET` | `/v1/engines` | engine catalog |
 //! | `GET` | `/v1/models` | registered model names |
 //! | `GET` | `/metrics` | text exposition of [`ServerMetrics`] |
@@ -17,7 +17,8 @@
 //! ([`CanonicalRequest`]): the content-addressed identity the response
 //! cache and intra-batch dedup are keyed on. Decoding also prices each
 //! job ([`job_cost`]) and refuses one over [`COST_CEILING`] with `400`,
-//! before it is admitted or allocates anything.
+//! before it is admitted or allocates anything. Both then run through
+//! [`run_batch_jobs`], the one engine runner.
 //!
 //! Cancellation is cooperative: [`CancelModel`] wraps the registered
 //! model and checks its [`CancelToken`] every [`CANCEL_ROWS`] rows of a
@@ -456,54 +457,9 @@ pub fn decode_batch_body(
         .collect()
 }
 
-/// Runs one pre-validated propagation on the calling thread and
-/// renders the response: `200` with the report, `408` when the token
-/// expired mid-run, `400` for invalid problem setups, `500` for
-/// internal engine failures.
-pub fn propagate_response(
-    registry: &ModelRegistry,
-    wire: &WireRequest,
-    token: &CancelToken,
-    metrics: &ServerMetrics,
-) -> Response {
-    if token.expired() {
-        return error_response(408, "request deadline exceeded before execution");
-    }
-    let Some(model) = registry.get(&wire.model) else {
-        return error_response(400, &format!("unknown model '{}'", wire.model));
-    };
-    let engine = match wire.resolve_engine() {
-        Ok(engine) => engine,
-        Err(e) => return error_response(400, &e.to_string()),
-    };
-    let guarded = CancelModel::new(model, token.clone());
-    let request = match wire.to_request(&guarded) {
-        Ok(request) => request,
-        Err(e) => return error_response(400, &e.to_string()),
-    };
-    let started = Instant::now();
-    let outcome = engine.propagate(&request);
-    if token.expired() {
-        return error_response(408, "request deadline exceeded during execution");
-    }
-    match outcome {
-        Ok(report) => {
-            metrics.record_engine(report.engine, started.elapsed());
-            Response::new(200).with_json(json::to_string(&report))
-        }
-        Err(SysuncError::InvalidInput(msg)) => {
-            error_response(400, &format!("invalid input: {msg}"))
-        }
-        Err(SysuncError::Unsupported(msg)) => {
-            error_response(400, &format!("unsupported propagation request: {msg}"))
-        }
-        Err(e) => error_response(500, &format!("propagation failed: {e}")),
-    }
-}
-
-/// A [`Propagator`] wrapper that feeds per-run engine metrics, so
-/// batch execution accounts runs exactly like single-request serving,
-/// and that skips a job whose token expired before it started.
+/// A [`Propagator`] wrapper that records each successful run in the
+/// engine metrics with its own latency, and that skips a job whose
+/// token expired before it started.
 struct RecordedEngine<'a> {
     inner: Box<dyn Propagator + Send + Sync>,
     metrics: &'a ServerMetrics,
@@ -540,23 +496,22 @@ impl Propagator for RecordedEngine<'_> {
     }
 }
 
-/// Runs pre-validated wire jobs through [`run_batch`] under one cancel
-/// token, preserving order. Each model evaluation goes through a
-/// [`CancelModel`] guard, a job that would start after the token
-/// expired returns an error without running, and each successful run
-/// is recorded in the engine metrics with its own latency — exactly
-/// like the single-request path, so the produced reports (and their
-/// JSON encodings) are bit-identical to per-request serving.
+/// Runs pre-validated wire jobs through [`run_batch`] on `threads`
+/// threads under one cancel token, preserving order: the one engine
+/// runner behind both propagate routes. Each model evaluation goes
+/// through a [`CancelModel`] guard, a job that would start after the
+/// token expired returns an error without running, and each successful
+/// run is recorded in the engine metrics with its own latency. Each job
+/// carries the index its errors are named by.
 ///
 /// # Errors
 ///
-/// Returns `(job_index, error)` when a job fails to *bind* (unknown
-/// engine/model, invalid quantiles) — the whole batch is refused
-/// before anything runs. Per-job *runtime* failures come back in the
-/// inner results.
+/// Returns `(index, error)` when a job fails to *bind* (unknown
+/// engine/model, invalid quantiles): nothing runs. Per-job *runtime*
+/// failures come back in the inner results.
 pub fn run_batch_jobs(
     registry: &ModelRegistry,
-    wires: &[WireRequest],
+    wires: &[(usize, &WireRequest)],
     token: &CancelToken,
     metrics: &ServerMetrics,
     threads: usize,
@@ -566,7 +521,7 @@ pub fn run_batch_jobs(
 > {
     let mut engines: Vec<RecordedEngine<'_>> = Vec::with_capacity(wires.len());
     let mut guards: Vec<CancelModel<'_>> = Vec::with_capacity(wires.len());
-    for (i, wire) in wires.iter().enumerate() {
+    for &(i, wire) in wires {
         engines.push(RecordedEngine {
             inner: wire.resolve_engine().map_err(|e| (i, e))?,
             metrics,
@@ -578,7 +533,7 @@ pub fn run_batch_jobs(
         guards.push(CancelModel::new(model, token.clone()));
     }
     let mut requests = Vec::with_capacity(wires.len());
-    for (i, (wire, guard)) in wires.iter().zip(&guards).enumerate() {
+    for (&(i, wire), guard) in wires.iter().zip(&guards) {
         requests.push(wire.to_request(guard).map_err(|e| (i, e))?);
     }
     let jobs: Vec<BatchJob<'_, '_>> = engines
@@ -720,25 +675,31 @@ mod tests {
 
     #[test]
     fn batch_runs_are_bit_identical_to_single_request_serving() {
+        // Two jobs on two threads and each job alone (the one-job batch
+        // a single request is, run on the calling thread) must produce
+        // the same bytes.
         let registry = ModelRegistry::standard().expect("builds");
         let metrics = ServerMetrics::new();
-        let wires = vec![wire("monte-carlo", "sum"), wire("latin-hypercube", "product")];
+        let wires = [wire("monte-carlo", "sum"), wire("latin-hypercube", "product")];
         let token = CancelToken::with_deadline(far_future());
-        let results = run_batch_jobs(&registry, &wires, &token, &metrics, 2)
-            .expect("batch binds");
+        let batch: Vec<(usize, &WireRequest)> = wires.iter().enumerate().collect();
+        let results = run_batch_jobs(&registry, &batch, &token, &metrics, 2).expect("batch binds");
         assert_eq!(results.len(), 2);
-        for (w, outcome) in wires.iter().zip(&results) {
+        for ((i, w), outcome) in wires.iter().enumerate().zip(&results) {
             let report = outcome.as_ref().expect("job runs");
-            let single = propagate_response(&registry, w, &token, &metrics);
-            assert_eq!(single.status, 200);
+            let single = run_batch_jobs(&registry, &[(i, w)], &token, &metrics, 2)
+                .expect("job binds")
+                .pop()
+                .expect("one result")
+                .expect("job runs");
             assert_eq!(
                 json::to_string(report),
-                single.body_text(),
+                json::to_string(&single),
                 "batch body must match the single-request bytes"
             );
         }
-        // Both paths recorded engine runs identically (1 batch + 1
-        // single run per engine).
+        // Every run is recorded once: one batch and one single run per
+        // engine.
         assert_eq!(metrics.engine_count("monte-carlo"), 2);
         assert_eq!(metrics.engine_count("latin-hypercube"), 2);
     }
@@ -749,29 +710,35 @@ mod tests {
         let metrics = ServerMetrics::new();
         let mut bad = wire("monte-carlo", "sum");
         bad.quantile_levels = vec![1.5];
-        let wires = vec![wire("monte-carlo", "sum"), bad];
+        let good = wire("monte-carlo", "sum");
         let token = CancelToken::with_deadline(far_future());
-        let err = run_batch_jobs(&registry, &wires, &token, &metrics, 2)
+        let err = run_batch_jobs(&registry, &[(0, &good), (3, &bad)], &token, &metrics, 2)
             .expect_err("bad quantiles refuse the batch");
-        assert_eq!(err.0, 1, "second job is the offender");
+        assert_eq!(err.0, 3, "the offender is named by the index it carries");
         assert_eq!(metrics.engine_count("monte-carlo"), 0, "nothing ran");
     }
 
     #[test]
     fn propagate_matches_the_in_process_engine_bit_for_bit() {
+        // `/v1/propagate` decodes its body and runs it as a one-job
+        // batch; the report it serves is the in-process engine's.
         let registry = ModelRegistry::standard().expect("builds");
         let metrics = ServerMetrics::new();
-        let wire = wire("latin-hypercube", "sum");
+        let body = json::to_string(&wire("latin-hypercube", "sum"));
+        let (w, _) = decode_propagate_body(&registry, body.as_bytes()).expect("valid body");
         let token = CancelToken::with_deadline(far_future());
-        let resp = propagate_response(&registry, &wire, &token, &metrics);
-        assert_eq!(resp.status, 200);
+        let report = run_batch_jobs(&registry, &[(0, &w)], &token, &metrics, 2)
+            .expect("job binds")
+            .pop()
+            .expect("one result")
+            .expect("job runs");
         let served: sysunc::PropagationReport =
-            json::from_str(&resp.body_text()).expect("report json");
+            json::from_str(&json::to_string(&report)).expect("report json");
         let model = registry.get("sum").expect("registered");
-        let direct = wire
+        let direct = w
             .resolve_engine()
             .expect("known")
-            .propagate(&wire.to_request(model).expect("valid"))
+            .propagate(&w.to_request(model).expect("valid"))
             .expect("runs");
         assert_eq!(served, direct);
         assert_eq!(metrics.engine_count("latin-hypercube"), 1);
@@ -779,14 +746,20 @@ mod tests {
 
     #[test]
     fn an_expired_token_yields_408_not_a_report() {
+        // A cancelled token: the one-job batch returns no report and the
+        // token reads expired, which the server answers with `408`.
         let registry = ModelRegistry::standard().expect("builds");
         let metrics = ServerMetrics::new();
         let mut w = wire("monte-carlo", "sum");
         w.budget = 200_000;
         let token = CancelToken::with_deadline(far_future());
         token.cancel();
-        let resp = propagate_response(&registry, &w, &token, &metrics);
-        assert_eq!(resp.status, 408);
+        let outcome = run_batch_jobs(&registry, &[(0, &w)], &token, &metrics, 2)
+            .expect("job binds")
+            .pop()
+            .expect("one result");
+        assert!(outcome.is_err(), "no report");
+        assert!(token.expired(), "the caller answers 408");
         assert_eq!(metrics.engine_count("monte-carlo"), 0);
     }
 
@@ -899,10 +872,12 @@ mod tests {
             .iter()
             .map(|engine| WireRequest { quantile_levels: Vec::new(), ..wire(engine, "sum") })
             .collect();
+        let batch: Vec<(usize, &WireRequest)> = wires.iter().enumerate().collect();
         let token = CancelToken::with_deadline(Instant::now());
         let results =
-            run_batch_jobs(&registry, &wires, &token, &metrics, 2).expect("batch binds");
+            run_batch_jobs(&registry, &batch, &token, &metrics, 2).expect("batch binds");
         assert!(results.iter().all(Result::is_err), "no job ran");
+        assert!(token.expired(), "the caller answers 408");
         assert_eq!(metrics.engine_count("latin-hypercube"), 0);
         assert_eq!(metrics.engine_count("monte-carlo"), 0);
     }
@@ -1005,16 +980,5 @@ mod tests {
         );
         assert!(read_error_response(&ServeError::Closed).is_none());
         assert!(read_error_response(&ServeError::Timeout).is_none());
-    }
-
-    #[test]
-    fn invalid_problem_setups_are_400_not_500() {
-        let registry = ModelRegistry::standard().expect("builds");
-        let metrics = ServerMetrics::new();
-        let mut w = wire("monte-carlo", "sum");
-        w.quantile_levels = vec![1.5];
-        let token = CancelToken::with_deadline(far_future());
-        let resp = propagate_response(&registry, &w, &token, &metrics);
-        assert_eq!(resp.status, 400);
     }
 }

@@ -2,12 +2,13 @@
 //! loop runs on every connection thread, with the propagate path behind
 //! the admission gate.
 //!
-//! Connection threads serve the cheap discovery routes inline, look
-//! repeated propagate requests up in the content-addressed
-//! [`ResponseCache`] (a hit answers without touching the gate), and run
-//! cache misses themselves once the [`AdmissionGate`] hands them a run
-//! permit. A batch request holds one permit and fans its deduplicated
-//! jobs across `core::run_batch` scoped threads.
+//! Connection threads serve the cheap discovery routes inline and
+//! answer both propagate routes through one path: `/v1/propagate` is a
+//! batch of one job. A request's jobs are deduplicated, looked up in the
+//! content-addressed [`ResponseCache`] (a hit answers without touching
+//! the gate), and the misses run under one run permit of the
+//! [`AdmissionGate`] through `core::run_batch`: on the connection thread
+//! itself when that needs one worker, otherwise on scoped threads.
 //!
 //! Backpressure: with every run permit and every wait permit taken, the
 //! connection thread answers `503` with `Retry-After` immediately.
@@ -27,9 +28,8 @@ use crate::http::{Request, Response};
 use crate::metrics::{route_label, ServerMetrics};
 use crate::pool::{AdmissionGate, Refusal};
 use crate::router::{
-    decode_batch_body, decode_propagate_body, engines_response, error_response,
-    healthz_response, metrics_response, models_response, propagate_response, route,
-    run_batch_jobs, CancelToken, Route,
+    decode_batch_body, decode_propagate_body, engines_response, error_response, healthz_response,
+    metrics_response, models_response, route, run_batch_jobs, CancelToken, Route,
 };
 use crate::shutdown::ShutdownSignal;
 use crate::transport::{Event, Handler, Transport};
@@ -38,7 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use sysunc::{dedup_by_key, Error as SysuncError, ModelRegistry};
+use sysunc::{dedup_by_key, CanonicalRequest, Error as SysuncError, ModelRegistry, WireRequest};
 
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
@@ -225,72 +225,96 @@ fn run_admitted<T>(
     })
 }
 
-/// The full propagate path: decode and canonicalize, serve cache hits
-/// without touching the gate, otherwise run the propagation on this
-/// thread under the gate and the deadline, and populate the cache from
-/// successful responses.
+/// `POST /v1/propagate`: decode, then [`answer`] the job as a batch of
+/// one. The cache verdict is `hit` or `miss`.
 fn propagate(request: &Request, ctx: &Ctx) -> Response {
-    let (wire, canonical) = match decode_propagate_body(&ctx.registry, &request.body) {
-        Ok(decoded) => decoded,
-        Err(response) => return *response,
+    let job = match decode_propagate_body(&ctx.registry, &request.body) {
+        Ok(job) => job,
+        Err(refused) => return *refused,
     };
-    if let Some(body) = ctx.cache.get(canonical.content_hash(), canonical.bytes()) {
-        ctx.metrics.cache_hit();
-        return Response::new(200)
-            .with_json(body.as_str().to_string())
-            .with_header("X-Sysunc-Cache", "hit");
+    match answer(ctx, std::slice::from_ref(&job), |_| String::new()) {
+        Ok(Answer { bodies, hits, .. }) => {
+            let body: String = bodies.iter().map(|b| b.as_str()).collect();
+            let verdict = if hits > 0 { "hit" } else { "miss" };
+            Response::new(200).with_json(body).with_header("X-Sysunc-Cache", verdict)
+        }
+        Err(refused) => refused,
     }
-    ctx.metrics.cache_miss();
-    let deadline = Instant::now() + ctx.config.request_timeout;
-    let token = CancelToken::with_deadline(deadline);
-    let response = match run_admitted(ctx, deadline, || {
-        propagate_response(&ctx.registry, &wire, &token, &ctx.metrics)
-    }) {
-        Ok(response) => response,
-        Err(refused) => return refused,
-    };
-    // Only complete reports are cacheable: errors and timeouts are
-    // circumstantial, not a function of the request.
-    if response.status == 200 {
-        let body = String::from_utf8_lossy(&response.body).into_owned();
-        let evicted = ctx.cache.insert(
-            canonical.content_hash(),
-            canonical.bytes().to_string(),
-            Arc::new(body),
-        );
-        ctx.metrics.cache_evicted(evicted);
-    }
-    response.with_header("X-Sysunc-Cache", "miss")
 }
 
-/// The batch propagate path: decode all jobs on this thread, collapse
-/// them onto distinct canonical requests, serve what the cache
-/// already holds, run the rest under **one** run permit through
-/// `core::run_batch`, and assemble the report array in job order from
-/// the per-unique bodies — each body the exact bytes single-request
-/// serving produces.
+/// `POST /v1/propagate/batch`: decode every job, then [`answer`] them
+/// and join the bodies into the report array, in job order. The cache
+/// verdict counts distinct jobs: `hits=H misses=M`.
 fn propagate_batch(request: &Request, ctx: &Ctx) -> Response {
     let jobs = match decode_batch_body(&ctx.registry, &request.body) {
         Ok(jobs) => jobs,
-        Err(response) => return *response,
+        Err(refused) => return *refused,
     };
     ctx.metrics.batch_jobs(jobs.len() as u64);
+    match answer(ctx, &jobs, |index| format!("job {index}: ")) {
+        Ok(Answer { bodies, hits, misses }) => {
+            let mut out =
+                String::with_capacity(bodies.iter().map(|b| b.len() + 1).sum::<usize>() + 1);
+            out.push('[');
+            for (i, body) in bodies.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(body);
+            }
+            out.push(']');
+            Response::new(200)
+                .with_json(out)
+                .with_header("X-Sysunc-Cache", &format!("hits={hits} misses={misses}"))
+        }
+        Err(refused) => refused,
+    }
+}
 
+/// The answer to decoded propagate jobs.
+struct Answer {
+    /// One report body per job, in job order.
+    bodies: Vec<Arc<String>>,
+    /// Distinct jobs the cache answered.
+    hits: usize,
+    /// Distinct jobs that ran.
+    misses: usize,
+}
+
+/// The one propagate path behind both routes. Collapses the jobs onto
+/// distinct canonical requests, serves what the cache holds without
+/// touching the gate, runs the rest under **one** run permit through
+/// `core::run_batch` (on this thread when one worker suffices), and
+/// caches each report. Every body is its report's exact encoding, so a
+/// batch element is byte-identical to the single-request answer.
+///
+/// `Err` is the one answer for the whole request: a gate refusal, `408`
+/// once the deadline has passed, or the first failing job's `400` or
+/// `500`, its message prefixed with `label(job index)`.
+fn answer(
+    ctx: &Ctx,
+    jobs: &[(WireRequest, CanonicalRequest)],
+    label: impl Fn(usize) -> String,
+) -> std::result::Result<Answer, Response> {
     // Identical canonical requests are the same job: run once, answer
     // many times (engines are deterministic by seed).
     let keys: Vec<&str> = jobs.iter().map(|(_, c)| c.bytes()).collect();
     let (uniques, assignment) = dedup_by_key(&keys);
-
-    let mut bodies: Vec<Option<Arc<String>>> = uniques
-        .iter()
-        .map(|&j| {
-            jobs.get(j).and_then(|(_, canonical)| {
-                ctx.cache.get(canonical.content_hash(), canonical.bytes())
-            })
-        })
-        .collect();
-    let hits = bodies.iter().filter(|b| b.is_some()).count();
-    let misses = bodies.len() - hits;
+    // Per distinct job: its cached body, or `None` until it runs.
+    let mut slots: Vec<Option<Arc<String>>> = Vec::with_capacity(uniques.len());
+    let mut missing = Vec::new();
+    for (index, (job, &slot)) in jobs.iter().zip(&assignment).enumerate() {
+        if uniques.get(slot) != Some(&index) {
+            continue; // a repeat of an earlier job
+        }
+        let cached = ctx.cache.get(job.1.content_hash(), job.1.bytes());
+        if cached.is_none() {
+            missing.push((index, job));
+        }
+        slots.push(cached);
+    }
+    let misses = missing.len();
+    let hits = slots.len() - misses;
     for _ in 0..hits {
         ctx.metrics.cache_hit();
     }
@@ -299,105 +323,39 @@ fn propagate_batch(request: &Request, ctx: &Ctx) -> Response {
     }
 
     if misses > 0 {
-        let missing: Vec<usize> = bodies
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.is_none())
-            .map(|(u, _)| u)
-            .collect();
-        let wires: Vec<_> = missing
-            .iter()
-            .filter_map(|&u| uniques.get(u))
-            .filter_map(|&j| jobs.get(j))
-            .map(|(wire, _)| wire.clone())
-            .collect();
-        if wires.len() != missing.len() {
-            return error_response(500, "batch bookkeeping lost a unique slot");
-        }
+        let wires: Vec<(usize, &WireRequest)> =
+            missing.iter().map(|&(index, (wire, _))| (index, wire)).collect();
         let deadline = Instant::now() + ctx.config.request_timeout;
         let token = CancelToken::with_deadline(deadline);
-        let results = match run_admitted(ctx, deadline, || {
+        let results = run_admitted(ctx, deadline, || {
             run_batch_jobs(&ctx.registry, &wires, &token, &ctx.metrics, ctx.config.workers)
-        }) {
-            Ok(results) => results,
-            Err(refused) => return refused,
-        };
-        let results = match results {
-            Ok(results) => results,
-            // A bind failure names the unique slot; translate back to
-            // the original job index for the caller.
-            Err((slot, e)) => {
-                let job =
-                    missing.get(slot).and_then(|&u| uniques.get(u)).copied().unwrap_or(0);
-                return error_response(400, &format!("job {job}: {e}"));
-            }
-        };
+        })?
+        .map_err(|(index, e)| error_response(400, &format!("{}{e}", label(index))))?;
         if token.expired() {
-            return error_response(408, "request deadline exceeded during execution");
+            return Err(error_response(408, "request deadline exceeded during execution"));
         }
-        for (&u, outcome) in missing.iter().zip(results) {
-            let job = match uniques.get(u) {
-                Some(&j) => j,
-                None => return error_response(500, "batch bookkeeping lost a unique slot"),
-            };
-            match outcome {
-                Ok(report) => {
-                    let body = Arc::new(sysunc::prob::json::to_string(&report));
-                    let canonical = match jobs.get(job) {
-                        Some((_, c)) => c,
-                        None => {
-                            return error_response(500, "batch bookkeeping lost a job");
-                        }
-                    };
-                    let evicted = ctx.cache.insert(
-                        canonical.content_hash(),
-                        canonical.bytes().to_string(),
-                        Arc::clone(&body),
-                    );
-                    ctx.metrics.cache_evicted(evicted);
-                    if let Some(slot) = bodies.get_mut(u) {
-                        *slot = Some(body);
-                    }
+        let empty = slots.iter_mut().filter(|slot| slot.is_none());
+        for ((slot, &(index, (_, canonical))), outcome) in empty.zip(&missing).zip(results) {
+            let report = outcome.map_err(|e| match e {
+                SysuncError::InvalidInput(_) | SysuncError::Unsupported(_) => {
+                    error_response(400, &format!("{}{e}", label(index)))
                 }
-                Err(SysuncError::InvalidInput(msg)) => {
-                    return error_response(400, &format!("job {job}: invalid input: {msg}"));
-                }
-                Err(SysuncError::Unsupported(msg)) => {
-                    return error_response(
-                        400,
-                        &format!("job {job}: unsupported propagation request: {msg}"),
-                    );
-                }
-                Err(e) => {
-                    return error_response(
-                        500,
-                        &format!("job {job}: propagation failed: {e}"),
-                    );
-                }
-            }
+                e => error_response(500, &format!("{}propagation failed: {e}", label(index))),
+            })?;
+            // Only complete reports are cacheable: errors and timeouts
+            // are circumstantial, not a function of the request.
+            let body = Arc::new(sysunc::prob::json::to_string(&report));
+            let evicted = ctx.cache.insert(
+                canonical.content_hash(),
+                canonical.bytes().to_string(),
+                Arc::clone(&body),
+            );
+            ctx.metrics.cache_evicted(evicted);
+            *slot = Some(body);
         }
     }
 
-    // Fan the unique bodies back out in job order. Bodies are the
-    // exact single-request encodings, so concatenation preserves
-    // bit-identity per element.
-    let mut out = String::with_capacity(bodies.iter().flatten().map(|b| b.len() + 1).sum());
-    out.push('[');
-    for (i, &slot) in assignment.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match bodies.get(slot).and_then(|b| b.as_deref()) {
-            Some(body) => out.push_str(body),
-            // Unreachable: every miss was either filled or returned
-            // an error above — but never panic in the serving path.
-            None => {
-                return error_response(500, "batch assembly lost a job body");
-            }
-        }
-    }
-    out.push(']');
-    Response::new(200)
-        .with_json(out)
-        .with_header("X-Sysunc-Cache", &format!("hits={hits} misses={misses}"))
+    let bodies =
+        assignment.iter().filter_map(|&slot| slots.get(slot).and_then(Option::clone)).collect();
+    Ok(Answer { bodies, hits, misses })
 }

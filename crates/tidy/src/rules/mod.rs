@@ -89,7 +89,7 @@ pub fn summaries() -> Vec<(&'static str, &'static str)> {
 /// block directly above token `idx`, walking backwards over attributes
 /// (`#[...]`) and plain comments. Module docs (`//!`) do not count as
 /// item docs.
-pub(crate) fn doc_comments_above<'a>(file: &'a SourceFile, mut i: usize) -> Vec<&'a str> {
+pub(crate) fn doc_comments_above(file: &SourceFile, mut i: usize) -> Vec<&str> {
     let tokens = file.tokens();
     let mut out = Vec::new();
     while i > 0 {

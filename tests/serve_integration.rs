@@ -701,6 +701,74 @@ fn batch_requests_dedup_identical_jobs_and_reuse_the_cache() {
     server.shutdown();
 }
 
+/// `/v1/propagate` is answered as a batch of one job, so both propagate
+/// routes share one cache and one account: a job answered on either
+/// route is a hit on the other, with the same bytes, and each distinct
+/// job runs the engine once. A problem setup the engine refuses answers
+/// `400` on both routes with one text, named by its index in a batch.
+#[test]
+fn both_propagate_routes_share_one_cache_and_one_account() {
+    let server = Server::start(
+        ServerConfig::default(),
+        ModelRegistry::standard().expect("registry builds"),
+    )
+    .expect("server starts");
+    let mut client = HttpClient::connect(server.addr()).expect("connects");
+    let job = |seed: u64| {
+        let mut wire = WireRequest::new("monte-carlo", "sum", standard_inputs());
+        wire.budget = 256;
+        wire.seed = seed;
+        wire
+    };
+    let batch_of = |wires: &[&WireRequest]| {
+        let jobs: Vec<String> = wires.iter().map(|w| json::to_string(*w)).collect();
+        format!("{{\"jobs\":[{}]}}", jobs.join(","))
+    };
+    let post = |client: &mut HttpClient, path: &str, body: &str| {
+        client.request("POST", path, Some(body)).expect("response arrives")
+    };
+
+    // Single request first: the one-job batch of the same job hits.
+    let single = post(&mut client, "/v1/propagate", &json::to_string(&job(1)));
+    assert_eq!(single.status, 200, "body: {}", single.body_text());
+    assert_eq!(single.header("X-Sysunc-Cache"), Some("miss"));
+    let batch = post(&mut client, "/v1/propagate/batch", &batch_of(&[&job(1)]));
+    assert_eq!(batch.status, 200, "body: {}", batch.body_text());
+    assert_eq!(batch.header("X-Sysunc-Cache"), Some("hits=1 misses=0"));
+    assert_eq!(batch.body_text(), format!("[{}]", single.body_text()));
+
+    // A fresh seed as a batch first: the single request hits.
+    let batch = post(&mut client, "/v1/propagate/batch", &batch_of(&[&job(2)]));
+    assert_eq!(batch.status, 200, "body: {}", batch.body_text());
+    assert_eq!(batch.header("X-Sysunc-Cache"), Some("hits=0 misses=1"));
+    let single = post(&mut client, "/v1/propagate", &json::to_string(&job(2)));
+    assert_eq!(single.status, 200, "body: {}", single.body_text());
+    assert_eq!(single.header("X-Sysunc-Cache"), Some("hit"));
+    assert_eq!(batch.body_text(), format!("[{}]", single.body_text()));
+
+    let text = client.scrape_metrics().expect("metrics scrape");
+    assert_eq!(
+        metric_value(&text, "sysunc_engine_runs_total{engine=\"monte-carlo\"}"),
+        Some(2),
+        "two distinct jobs, two runs"
+    );
+    assert_eq!(metric_value(&text, "sysunc_cache_hits_total"), Some(2));
+    assert_eq!(metric_value(&text, "sysunc_cache_misses_total"), Some(2));
+
+    // A quantile level outside (0, 1) is the client's error on both
+    // routes, with the same text but for the batch's job label.
+    let mut bad = job(3);
+    bad.quantile_levels = vec![1.5];
+    let single = post(&mut client, "/v1/propagate", &json::to_string(&bad));
+    assert_eq!(single.status, 400, "body: {}", single.body_text());
+    let batch = post(&mut client, "/v1/propagate/batch", &batch_of(&[&job(1), &bad]));
+    assert_eq!(batch.status, 400, "body: {}", batch.body_text());
+    let text = batch.body_text();
+    assert!(text.starts_with("{\"error\":\"job 1: "), "{text}");
+    assert_eq!(text.replacen("job 1: ", "", 1), single.body_text());
+    server.shutdown();
+}
+
 /// Beyond `max_connections` concurrent connections the acceptor
 /// answers `503 + Retry-After` before reading a request; closing a
 /// connection frees the slot.

@@ -329,15 +329,17 @@ fn former_textual_false_positives_do_not_fire() {
 fn workspace_libraries_pass_clippy_under_the_lint_table() {
     // The toolchain half of the gate: every library and binary target,
     // checked by clippy with the root `[workspace.lints]` table each
-    // member inherits (deny-level lints fail the run), as ci.sh does.
+    // member inherits, as ci.sh does. `-D warnings` fails the run on
+    // clippy's default-level warnings as well as on the table's denials.
     let output = Command::new(cargo())
         .args(["clippy", "--quiet", "--offline", "--workspace", "--lib", "--bins"])
+        .args(["--", "-D", "warnings"])
         .current_dir(root())
         .output()
         .expect("cargo clippy should spawn");
     assert!(
         output.status.success(),
-        "cargo clippy --workspace --lib --bins failed:\n{}",
+        "cargo clippy --workspace --lib --bins -- -D warnings failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
 }
